@@ -23,7 +23,6 @@ from .analysis import (
     refines,
 )
 from .avemodel import (
-    AveStepReport,
     ave_neighbors,
     ave_step,
     is_epsilon_chain,
@@ -40,6 +39,8 @@ from .core import (
     OpinionMatrix,
     PropertyViolation,
     RowStochasticMatrix,
+    StepReport,
+    contraction_factor,
     disagreement_seminorm,
     global_range,
     induced_disagreement_seminorm,
@@ -58,7 +59,6 @@ from .sim import (
     sample_initial,
 )
 from .uniform import (
-    UniformStepReport,
     globally_ordered,
     linf_neighbors,
     one_step_preservation_hypothesis,
@@ -76,7 +76,6 @@ __all__ = [
     "OUTCOME_NOT_TERMINATED",
     "ALL_CHECKS",
     "AverageVector",
-    "AveStepReport",
     "InfluenceMatrix",
     "NumericPolicy",
     "OpinionMatrix",
@@ -85,14 +84,15 @@ __all__ = [
     "PropertyViolation",
     "RowStochasticMatrix",
     "SimulationConfig",
+    "StepReport",
     "Trajectory",
-    "UniformStepReport",
     "ave_neighbors",
     "ave_step",
     "batch_run",
     "check_trajectory",
     "classify_outcome",
     "cluster_means",
+    "contraction_factor",
     "disagreement_seminorm",
     "global_range",
     "globally_ordered",

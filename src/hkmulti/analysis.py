@@ -13,11 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .avemodel import ave_step
 from .core import (
     MODEL_AVE,
-    MODEL_KINDS,
-    MODEL_UNIFORM,
     NumericPolicy,
     OpinionMatrix,
     PropertyViolation,
@@ -26,7 +23,7 @@ from .core import (
     matrices_close,
     row_average,
 )
-from .uniform import uniform_step
+from .sim import model_step
 
 OUTCOME_CONSENSUS = "consensus"
 OUTCOME_CLUSTERING = "clustering"
@@ -180,9 +177,7 @@ def classify_outcome(
     even share a mean; the separation is only reported.
     """
     check_epsilon(epsilon)
-    if model not in MODEL_KINDS:
-        raise ValueError(f"unknown model {model!r}")
-    step = ave_step if model == MODEL_AVE else uniform_step
+    step = model_step(model)
     if not matrices_close(step(x, epsilon).next_state, x, policy.tau_fix):
         return OutcomeReport(
             model=model,

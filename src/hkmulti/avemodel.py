@@ -8,40 +8,17 @@ process projects onto a one-dimensional process on the means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     AverageVector,
     InfluenceMatrix,
     OpinionMatrix,
-    RowStochasticMatrix,
     Scalar,
+    StepReport,
     check_epsilon,
     disagreement_seminorm,
-    induced_disagreement_seminorm,
     neighbor_means,
     row_average,
-    row_normalize,
-    rows_use_floats,
-    topic_range,
 )
-
-
-@dataclass(frozen=True)
-class AveStepReport:
-    """One synchronous update plus the quantities the analysis layer reads.
-
-    ``averages``, ``influence``, ``averaging_matrix``, ``gamma`` and
-    ``topic_ranges`` all describe the state the step was taken FROM;
-    only ``next_state`` is post-step.
-    """
-
-    next_state: OpinionMatrix
-    averages: AverageVector
-    influence: InfluenceMatrix
-    averaging_matrix: RowStochasticMatrix
-    gamma: Scalar
-    topic_ranges: tuple[Scalar, ...]
 
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
@@ -59,20 +36,10 @@ def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     return _neighbors_from_averages(row_average(x).values, epsilon)
 
 
-def ave_step(x: OpinionMatrix, epsilon: Scalar) -> AveStepReport:
+def ave_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
     """One synchronous step of the average-based model."""
-    check_epsilon(epsilon)
-    averages = row_average(x)
-    influence = _neighbors_from_averages(averages.values, epsilon)
-    averaging_matrix = row_normalize(influence, exact=not rows_use_floats(x.entries))
-    return AveStepReport(
-        next_state=neighbor_means(x, influence),
-        averages=averages,
-        influence=influence,
-        averaging_matrix=averaging_matrix,
-        gamma=induced_disagreement_seminorm(averaging_matrix),
-        topic_ranges=tuple(topic_range(x, j) for j in range(x.n_topics)),
-    )
+    influence = ave_neighbors(x, epsilon)
+    return StepReport(neighbor_means(x, influence), influence)
 
 
 def max_average_gap(averages: AverageVector) -> Scalar:

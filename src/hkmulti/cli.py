@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,6 +28,7 @@ from .core import (
     PropertyViolation,
     Scalar,
     check_epsilon,
+    contraction_factor,
 )
 from .properties import check_trajectory
 from .serialize import (
@@ -58,10 +59,18 @@ EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
 FORMAT_REVISION = 1
+MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
+TOLERANCE_KEYS = ("tau_fix", "tau_cluster", "tau_row")
 
 
 class UsageError(Exception):
     pass
+
+
+def _require_keys(raw: dict, keys: Sequence[str], where: str) -> None:
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{where} lacks key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,9 @@ class RunManifest:
     def initial_state(self) -> OpinionMatrix:
         policy = self.policy()
         init = self.init
-        if init["kind"] == "matrix":
+        if init.get("kind") == "matrix":
             return OpinionMatrix(policy.coerce_rows(init["entries"]))
-        if init["kind"] == "box":
+        if init.get("kind") == "box":
             if init.get("generator") != GENERATOR_NAME:
                 raise ValueError(f"unsupported generator {init.get('generator')!r}")
             return sample_initial(
@@ -127,33 +136,32 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
+        if not isinstance(raw, dict):
+            raise ValueError("manifest must be a JSON object")
         if raw.get("format_revision") != FORMAT_REVISION:
             raise ValueError(
                 f"unsupported manifest revision {raw.get('format_revision')!r}"
             )
-        mode = raw["mode"]
-        if mode not in (MODE_EXACT, MODE_FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        policy = (
-            NumericPolicy.exact()
-            if mode == MODE_EXACT
-            else NumericPolicy.floating(
-                raw["tolerances"]["tau_fix"],
-                raw["tolerances"]["tau_cluster"],
-                raw["tolerances"]["tau_row"],
-            )
-        )
-        return cls(
+        _require_keys(raw, MANIFEST_KEYS, "manifest")
+        for key in ("tolerances", "init"):
+            if not isinstance(raw[key], dict):
+                raise ValueError(f"manifest key {key!r} must be an object")
+        tolerances = raw["tolerances"]
+        _require_keys(tolerances, TOLERANCE_KEYS, "manifest tolerances")
+        if raw["mode"] not in (MODE_EXACT, MODE_FLOAT):
+            raise ValueError(f"unknown mode {raw['mode']!r}")
+        manifest = cls(
             model=raw["model"],
-            mode=mode,
-            epsilon=policy.coerce(raw["epsilon"]),
+            mode=raw["mode"],
+            epsilon=raw["epsilon"],
             max_steps=int(raw["max_steps"]),
-            tau_fix=raw["tolerances"]["tau_fix"],
-            tau_cluster=raw["tolerances"]["tau_cluster"],
-            tau_row=raw["tolerances"]["tau_row"],
+            tau_fix=tolerances["tau_fix"],
+            tau_cluster=tolerances["tau_cluster"],
+            tau_row=tolerances["tau_row"],
             init=raw["init"],
             tool_version=str(raw.get("tool_version", "")),
         )
+        return replace(manifest, epsilon=manifest.policy().coerce(raw["epsilon"]))
 
 
 class Parser(argparse.ArgumentParser):
@@ -182,7 +190,7 @@ def _epsilon_from_args(args, policy: NumericPolicy) -> Scalar:
     try:
         eps = policy.coerce(args.epsilon)
         check_epsilon(eps)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad --epsilon {args.epsilon!r}: {exc}")
     return eps
 
@@ -409,7 +417,9 @@ def cmd_verify(args) -> int:
                 )
                 if record.influence_lists != expected_lists:
                     violations.append(f"step {t}: neighbor lists differ from replay")
-            if record.gamma is not None and record.gamma != report.gamma:
+            if record.gamma is not None and record.gamma != contraction_factor(
+                report.influence, policy.is_exact
+            ):
                 violations.append(f"step {t}: contraction factor differs from replay")
 
     violations.extend(check_trajectory(fresh))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -97,12 +98,17 @@ class NumericPolicy:
 
         Exact mode maps floats to their exact binary value and parses
         strings ("0.25", "1/3") exactly; float mode rounds to double.
+        Values that have no such form ("1/0", None, or "1e400" in float
+        mode) raise ValueError.
         """
-        if self.is_exact:
-            return Fraction(value)
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+        try:
+            if self.is_exact:
+                return Fraction(value)
+            if isinstance(value, str):
+                return float(Fraction(value))
+            return float(value)
+        except (OverflowError, TypeError, ZeroDivisionError):
+            raise ValueError(f"{value!r} is not a representable number") from None
 
     def coerce_rows(
         self, rows: Iterable[Iterable[Union[Scalar, str]]]
@@ -198,6 +204,19 @@ class InfluenceMatrix:
 
 
 @dataclass(frozen=True)
+class StepReport:
+    """One synchronous update: the post-step state and the pre-step neighbors.
+
+    Everything else about the step (means, ranges, the averaging matrix,
+    its contraction factor) follows from these two and is computed by
+    whoever asks for it.
+    """
+
+    next_state: OpinionMatrix
+    influence: InfluenceMatrix
+
+
+@dataclass(frozen=True)
 class RowStochasticMatrix:
     """Square nonnegative matrix with unit row sums.
 
@@ -288,6 +307,36 @@ def row_normalize(phi: InfluenceMatrix, exact: bool = True) -> RowStochasticMatr
     return RowStochasticMatrix(tuple(rows))
 
 
+def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
+    """Induced disagreement seminorm of ``row_normalize(phi, exact)``.
+
+    Rows i and j of that matrix share |N_i & N_j| entries, each of weight
+    1/max(d_i, d_j), so the closed form of
+    :func:`induced_disagreement_seminorm` (Seneta's ergodicity
+    coefficient) needs only neighbor-set overlaps.  Float overlaps add
+    the weight term by term from 0.0, as the dense sum does, so both
+    forms agree bit for bit.  A single agent gives 0.
+    """
+    # neighbor sets as int bitsets; a popcount is a degree or an overlap
+    sets = [int("".join(map(str, row)), 2) for row in phi.entries]
+    keys = {
+        ((a & b).bit_count(), max(da, db))
+        for (a, da), (b, db) in combinations([(s, s.bit_count()) for s in sets], 2)
+    }
+    if not keys:
+        return 0
+    return 1 - min(_overlap(count, degree, exact) for count, degree in keys)
+
+
+def _overlap(count: int, degree: int, exact: bool) -> Scalar:
+    if exact:
+        return Fraction(count, degree)
+    total, weight = 0.0, 1.0 / degree
+    for _ in range(count):
+        total += weight
+    return total
+
+
 def topic_range(x: OpinionMatrix, topic: int) -> Scalar:
     """Opinion range on one topic: disagreement seminorm of that column."""
     if not 0 <= topic < x.n_topics:
@@ -339,9 +388,3 @@ def matrices_close(x: OpinionMatrix, y: OpinionMatrix, tol: Scalar) -> bool:
     return all(
         abs(p - q) <= tol for xr, yr in zip(x.entries, y.entries) for p, q in zip(xr, yr)
     )
-
-
-def values_close(xs: Sequence[Scalar], ys: Sequence[Scalar], tol: Scalar) -> bool:
-    if len(xs) != len(ys):
-        raise ValueError("vector lengths differ")
-    return all(abs(p - q) <= tol for p, q in zip(xs, ys))

@@ -21,6 +21,7 @@ from .core import (
     NumericPolicy,
     OpinionMatrix,
     Scalar,
+    contraction_factor,
     topic_range,
 )
 from .sim import Trajectory
@@ -91,7 +92,7 @@ def trajectory_lines(traj: Trajectory) -> list[str]:
             ],
         }
         if traj.config.model == MODEL_AVE:
-            record["gamma"] = scalar_token(report.gamma, exact)
+            record["gamma"] = scalar_token(contraction_factor(report.influence, exact), exact)
         lines.append(_dump(record))
     lines.append(
         _dump(

@@ -11,27 +11,33 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from .avemodel import AveStepReport, ave_step
+from .avemodel import ave_step
 from .core import (
     MODEL_AVE,
     MODEL_KINDS,
     NumericPolicy,
     OpinionMatrix,
     Scalar,
+    StepReport,
     check_epsilon,
     is_finite,
     matrices_close,
 )
-from .uniform import UniformStepReport, uniform_step
-
-StepReport = Union[AveStepReport, UniformStepReport]
+from .uniform import uniform_step
 
 MAX_THREADS_ENV = "HK_MAX_THREADS"
 
 # name recorded in manifests for the box sampler below
 GENERATOR_NAME = "python-random-mt19937"
+
+
+def model_step(model: str) -> Callable[[OpinionMatrix, Scalar], StepReport]:
+    """The one-step update of a model name."""
+    if model not in MODEL_KINDS:
+        raise ValueError(f"unknown model {model!r}")
+    return ave_step if model == MODEL_AVE else uniform_step
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,7 @@ class SimulationConfig:
     policy: NumericPolicy
 
     def __post_init__(self) -> None:
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model {self.model!r}")
+        model_step(self.model)  # rejects unknown model names
         check_epsilon(self.epsilon)
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
@@ -81,7 +86,7 @@ def run(config: SimulationConfig, initial: OpinionMatrix) -> Trajectory:
     the whole trajectory lives in one arithmetic regime.  Stops at the
     first fixed point or after max_steps updates, whichever comes first.
     """
-    step = ave_step if config.model == MODEL_AVE else uniform_step
+    step = model_step(config.model)
     policy = config.policy
     states = [OpinionMatrix(policy.coerce_rows(initial.entries))]
     reports: list[StepReport] = []

@@ -8,38 +8,16 @@ average-based model; only the neighbor test differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     InfluenceMatrix,
     OpinionMatrix,
-    RowStochasticMatrix,
     Scalar,
+    StepReport,
     check_epsilon,
-    global_range,
     neighbor_means,
-    row_normalize,
-    rows_use_floats,
 )
-
-
-@dataclass(frozen=True)
-class UniformStepReport:
-    """One synchronous update plus order and range diagnostics.
-
-    ``influence``, ``averaging_matrix``, ``global_range_before`` and
-    ``per_topic_orderings`` describe the pre-step state;
-    ``per_topic_orderings[j]`` lists agents sorted ascending by topic j
-    (ties by index).
-    """
-
-    next_state: OpinionMatrix
-    influence: InfluenceMatrix
-    averaging_matrix: RowStochasticMatrix
-    global_range_before: Scalar
-    global_range_after: Scalar
-    per_topic_orderings: tuple[tuple[int, ...], ...]
 
 
 def _row_distance(a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> Scalar:
@@ -58,24 +36,10 @@ def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     return InfluenceMatrix(out)
 
 
-def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> UniformStepReport:
+def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
     """One synchronous step of the uniform-affinity model."""
-    check_epsilon(epsilon)
     influence = linf_neighbors(x, epsilon)
-    averaging_matrix = row_normalize(influence, exact=not rows_use_floats(x.entries))
-    next_state = neighbor_means(x, influence)
-    orderings = tuple(
-        tuple(sorted(range(x.n_agents), key=lambda i: (x.entries[i][j], i)))
-        for j in range(x.n_topics)
-    )
-    return UniformStepReport(
-        next_state=next_state,
-        influence=influence,
-        averaging_matrix=averaging_matrix,
-        global_range_before=global_range(x),
-        global_range_after=global_range(next_state),
-        per_topic_orderings=orderings,
-    )
+    return StepReport(neighbor_means(x, influence), influence)
 
 
 def one_step_preservation_hypothesis(x: OpinionMatrix, epsilon: Scalar) -> bool:

@@ -21,6 +21,7 @@ from hkmulti import (
     ave_step,
     classify_outcome,
     cluster_means,
+    contraction_factor,
     disagreement_seminorm,
     globally_ordered,
     induced_disagreement_seminorm,
@@ -139,17 +140,19 @@ def test_criterion_02_per_step_contraction(announce, exact_ave_batch, float_ave_
         checked = 0
         for traj in exact_ave_batch:
             for t, report in enumerate(traj.reports):
+                gamma = contraction_factor(report.influence, exact=True)
                 for j in range(traj.states[t].n_topics):
                     lhs = disagreement_seminorm(traj.states[t + 1].column(j))
-                    rhs = report.gamma * disagreement_seminorm(traj.states[t].column(j))
+                    rhs = gamma * disagreement_seminorm(traj.states[t].column(j))
                     assert lhs <= rhs
                     checked += 1
         assert checked >= 500
         for traj in float_ave_batch:
             for t, report in enumerate(traj.reports):
+                gamma = contraction_factor(report.influence, exact=False)
                 for j in range(traj.states[t].n_topics):
                     lhs = disagreement_seminorm(traj.states[t + 1].column(j))
-                    rhs = report.gamma * disagreement_seminorm(traj.states[t].column(j))
+                    rhs = gamma * disagreement_seminorm(traj.states[t].column(j))
                     assert lhs <= rhs + 1e-12
 
 

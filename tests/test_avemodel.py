@@ -5,11 +5,15 @@ import pytest
 from hkmulti import (
     AverageVector,
     OpinionMatrix,
+    StepReport,
     ave_neighbors,
     ave_step,
+    contraction_factor,
     is_epsilon_chain,
     max_average_gap,
     row_average,
+    row_normalize,
+    topic_range,
 )
 
 
@@ -34,31 +38,35 @@ def test_ave_step_example():
         (Fraction(1, 2), Fraction(1, 2)),
         (3, 3),
     )
-    assert report.averages.values == (0, 1, 3)
-    assert report.topic_ranges == (3, 3)
-    assert report.gamma == 1
-    assert report.averaging_matrix.entries[2] == (0, 0, 1)
+    assert isinstance(report, StepReport)
+    assert row_average(x).values == (0, 1, 3)
+    assert (topic_range(x, 0), topic_range(x, 1)) == (3, 3)
+    assert contraction_factor(report.influence, exact=True) == 1
+    assert row_normalize(report.influence).entries[2] == (0, 0, 1)
 
 
 def test_ave_step_merges_equal_means():
     report = ave_step(OpinionMatrix(((0, 2), (2, 0))), Fraction(1, 2))
     assert report.next_state.entries == ((1, 1), (1, 1))
-    assert report.gamma == 0
+    assert contraction_factor(report.influence, exact=True) == 0
 
 
 def test_ave_step_gamma_bounds():
     # fully connected state contracts strictly, split state does not
     full = ave_step(OpinionMatrix(((0,), (1,))), 2)
-    assert full.gamma == 0
+    assert contraction_factor(full.influence, exact=True) == 0
     split = ave_step(OpinionMatrix(((0,), (10,))), 1)
-    assert split.gamma == 1
+    assert contraction_factor(split.influence, exact=True) == 1
 
 
 def test_ave_step_pre_step_metadata():
     x = OpinionMatrix(((0, 4), (1, 1)))
     report = ave_step(x, 10)
-    assert report.averages == row_average(x)
-    assert report.topic_ranges == (1, 3)
+    # the report carries only the post-step state and the pre-step neighbors
+    assert report == StepReport(report.next_state, ave_neighbors(x, 10))
+    assert report.influence.entries == ((1, 1), (1, 1))
+    assert row_average(x).values == (2, 1)
+    assert (topic_range(x, 0), topic_range(x, 1)) == (1, 3)
 
 
 def test_epsilon_validation():
@@ -92,4 +100,5 @@ def test_is_epsilon_chain():
 def test_float_inputs_stay_float():
     report = ave_step(OpinionMatrix(((0.0, 0.5), (1.0, 0.5))), 2.0)
     assert all(isinstance(v, float) for row in report.next_state.entries for v in row)
-    assert isinstance(report.averaging_matrix.entries[0][0], float)
+    assert isinstance(row_normalize(report.influence, exact=False).entries[0][0], float)
+    assert isinstance(contraction_factor(report.influence, exact=False), float)

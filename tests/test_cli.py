@@ -550,3 +550,89 @@ def test_manifest_round_trip():
     bad["init"] = {**raw["init"], "generator": "other"}
     with pytest.raises(ValueError):
         RunManifest.from_dict(bad).initial_state()
+
+
+def _manifest_dict(**changes):
+    raw = {
+        "format_revision": 1,
+        "model": "ave",
+        "mode": "exact",
+        "epsilon": "1",
+        "max_steps": 5,
+        "tolerances": {"tau_fix": 0.0, "tau_cluster": 0.0, "tau_row": 0.0},
+        "init": {"kind": "matrix", "entries": [["0"], ["1/2"]]},
+    }
+    raw.update(changes)
+    return raw
+
+
+CLASSIFY_S = ["classify", "--model", "ave", "--epsilon", "1", "--state", "s.csv"]
+VERIFY_M = ["verify", "--manifest", "m.json", "--trajectory", "t.jsonl"]
+RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", "1",
+           "--out-dir", "out", "--epsilon"]
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        pytest.param({"s.csv": "1e400,0\n"}, CLASSIFY_S, id="csv-overflow"),
+        pytest.param({"s.csv": "1/0,1\n"}, CLASSIFY_S, id="csv-zero-division"),
+        pytest.param({}, RUN_EPS + ["1e400"], id="flag-overflow"),
+        pytest.param(
+            {"m.json": json.dumps(_manifest_dict(epsilon="1/0")), "t.jsonl": ""},
+            VERIFY_M,
+            id="manifest-zero-division",
+        ),
+        pytest.param(
+            {"m.json": json.dumps(_manifest_dict(epsilon=None)), "t.jsonl": ""},
+            VERIFY_M,
+            id="manifest-null",
+        ),
+        pytest.param(
+            {"t.jsonl": '{"state":[["1/0"]],"step":0}\n'},
+            ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            id="jsonl-zero-division",
+        ),
+    ],
+)
+def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv):
+    for name, text in files.items():
+        write_lines(tmp_path / name, text)
+    argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkmulti.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({k: v for k, v in _manifest_dict().items() if k != "mode"}, "'mode'"),
+        (_manifest_dict(init="x"), "'init'"),
+        (_manifest_dict(tolerances=[]), "'tolerances'"),
+        (_manifest_dict(tolerances={"tau_fix": 0.0}), "'tau_cluster'"),
+    ],
+    ids=["no-mode", "init-not-object", "tolerances-not-object", "no-tolerance"],
+)
+def test_verify_names_the_bad_manifest_key(tmp_path, capsys, raw, key):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+    (tmp_path / "trajectory.jsonl").write_text("")
+    with pytest.raises(ValueError, match=key):
+        RunManifest.from_dict(raw)
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest") and key in err
+
+
+def test_manifest_from_dict_builds_the_policy_once():
+    back = RunManifest.from_dict(_manifest_dict(mode="float", epsilon="1/4"))
+    assert back.epsilon == 0.25 and isinstance(back.epsilon, float)
+    assert back.policy() == NumericPolicy.floating(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="tau_fix"):
+        tolerances = {"tau_fix": -1.0, "tau_cluster": 0.0, "tau_row": 0.0}
+        RunManifest.from_dict(_manifest_dict(mode="float", tolerances=tolerances))

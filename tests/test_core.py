@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,12 +10,19 @@ from hkmulti import (
     NumericPolicy,
     OpinionMatrix,
     RowStochasticMatrix,
+    SimulationConfig,
+    StepReport,
+    ave_step,
+    contraction_factor,
     disagreement_seminorm,
     global_range,
     induced_disagreement_seminorm,
     row_average,
     row_normalize,
+    run,
+    sample_initial,
     topic_range,
+    uniform_step,
 )
 from hkmulti.core import matrices_close, neighbor_means, rows_use_floats
 
@@ -72,6 +80,49 @@ def test_row_normalize_exact_and_float():
     b = row_normalize(phi, exact=False)
     assert b.entries[0] == (0.5, 0.5, 0.0)
     assert isinstance(b.entries[0][0], float)
+
+
+def test_contraction_factor_examples():
+    single = InfluenceMatrix(((1,),))
+    assert repr(contraction_factor(single, exact=True)) == "0"
+    assert repr(contraction_factor(single, exact=False)) == "0"
+    full = InfluenceMatrix(((1, 1), (1, 1)))
+    assert contraction_factor(full, exact=True) == 0
+    assert contraction_factor(full, exact=False) == 0.0
+    block = InfluenceMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    assert contraction_factor(block, exact=True) == 1
+    # the end agents share only the middle one, with weight 1/2
+    chain = InfluenceMatrix(((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+    assert contraction_factor(chain, exact=True) == Fraction(1, 2)
+    assert isinstance(contraction_factor(chain, exact=False), float)
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 20, 60])
+def test_contraction_factor_equals_dense_form(n_agents):
+    # the dense induced seminorm of the averaging matrix is the reference:
+    # same value and same repr, so float gammas on disk do not move.  Small
+    # runs go to their fixed point; the exact dense form costs about half a
+    # second per step at 60 agents, so those runs stop after 3 steps
+    max_steps = 30 if n_agents <= 20 else 3
+    for model in ("ave", "uniform"):
+        for policy in (NumericPolicy.exact(), NumericPolicy.floating()):
+            initial = sample_initial(n_agents, 2, (-1.0, 1.0), n_agents, policy)
+            config = SimulationConfig(model, policy.coerce("0.4"), max_steps, policy)
+            for report in run(config, initial).reports:
+                exact = policy.is_exact
+                averaging = row_normalize(report.influence, exact)
+                dense = induced_disagreement_seminorm(averaging)
+                fast = contraction_factor(report.influence, exact)
+                assert fast == dense
+                assert repr(fast) == repr(dense)
+
+
+def test_steps_report_state_and_neighbors_only():
+    names = [f.name for f in dataclasses.fields(StepReport)]
+    assert names == ["next_state", "influence"]
+    x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
+    for step in (ave_step, uniform_step):
+        assert type(step(x, 1)) is StepReport
 
 
 def test_topic_and_global_range():
@@ -162,6 +213,23 @@ def test_policy_coercion():
     assert isinstance(floating.coerce(1), float)
     rows = exact.coerce_rows([[0.25, "1/3"]])
     assert rows == ((Fraction(1, 4), Fraction(1, 3)),)
+
+
+@pytest.mark.parametrize(
+    "policy, value",
+    [
+        (NumericPolicy.floating(), "1e400"),
+        (NumericPolicy.floating(), 10**400),
+        (NumericPolicy.floating(), "1/0"),
+        (NumericPolicy.floating(), None),
+        (NumericPolicy.exact(), "1/0"),
+        (NumericPolicy.exact(), float("inf")),
+        (NumericPolicy.exact(), None),
+    ],
+)
+def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):
+    with pytest.raises(ValueError):
+        policy.coerce(value)
 
 
 def test_matrix_helpers():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hkmulti import (
     SimulationConfig,
     ave_step,
     check_trajectory,
+    contraction_factor,
     disagreement_seminorm,
     globally_ordered,
     induced_disagreement_seminorm,
@@ -17,7 +19,9 @@ from hkmulti import (
     naive_model_step,
     one_step_preservation_hypothesis,
     row_average,
+    row_normalize,
     run,
+    sample_initial,
     scalar_hk_step,
     uniform_step,
 )
@@ -117,9 +121,10 @@ def test_step_reports_are_internally_consistent(x, eps):
             for i in range(x.n_agents)
             for k in range(x.n_agents)
         )
-        for row in report.averaging_matrix.entries:
+        averaging = row_normalize(phi)
+        for row in averaging.entries:
             assert sum(row) == 1
-        expected = matrix_apply(report.averaging_matrix, x)
+        expected = matrix_apply(averaging, x)
         assert report.next_state.entries == expected.entries
 
 
@@ -138,9 +143,10 @@ def test_ranges_and_hull_shrink(x, eps):
 @given(exact_matrices(), epsilons)
 def test_contraction_bound_per_step(x, eps):
     report = ave_step(x, eps)
+    gamma = contraction_factor(report.influence, exact=True)
     for j in range(x.n_topics):
         lhs = disagreement_seminorm(report.next_state.column(j))
-        assert lhs <= report.gamma * disagreement_seminorm(x.column(j))
+        assert lhs <= gamma * disagreement_seminorm(x.column(j))
 
 
 @given(exact_matrices(), epsilons)
@@ -224,3 +230,18 @@ def test_full_trajectories_satisfy_all_invariants(x, eps, model):
     traj = run(config, x)
     assert traj.terminated
     assert check_trajectory(traj) == []
+
+
+def test_averaging_check_ties_the_matrix_to_the_transition():
+    # float rounding of the two summation orders grows with the opinions;
+    # the check's slack must grow with them (an absolute 1e-12 fails here)
+    policy = NumericPolicy.floating()
+    initial = sample_initial(30, 2, (-1e4, 1e4), 1, policy)
+    traj = run(SimulationConfig("uniform", 3000.0, 50, policy), initial)
+    assert check_trajectory(traj, ["averaging-matrix"]) == []
+    # a transition that is not the averaging matrix applied is caught
+    swapped = traj.states[:1] + (traj.states[0],) + traj.states[2:]
+    broken = dataclasses.replace(traj, states=swapped)
+    assert check_trajectory(broken, ["averaging-matrix"])[0] == (
+        "averaging-matrix: step 0: next state is not the averaging matrix applied"
+    )

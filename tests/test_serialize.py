@@ -8,6 +8,7 @@ from hkmulti import (
     OpinionMatrix,
     SimulationConfig,
     classify_outcome,
+    contraction_factor,
     run,
 )
 from hkmulti.serialize import (
@@ -78,7 +79,7 @@ def test_trajectory_jsonl_exact_round_trip(tmp_path):
     assert records[-1].gamma is None
     # step records carry 0-based neighbor lists after parsing
     assert records[0].influence_lists == ((0, 1), (0, 1), (2,))
-    assert records[0].gamma == traj.reports[0].gamma
+    assert records[0].gamma == contraction_factor(traj.reports[0].influence, exact=True)
     assert records[0].topic_ranges == (3, 3)
 
 

@@ -4,9 +4,12 @@ import pytest
 
 from hkmulti import (
     OpinionMatrix,
+    StepReport,
+    global_range,
     globally_ordered,
     linf_neighbors,
     one_step_preservation_hypothesis,
+    row_normalize,
     uniform_step,
 )
 
@@ -28,9 +31,14 @@ def test_uniform_step_example():
     x = OpinionMatrix(((0.0, 1.0), (0.5, 0.5), (2.0, 0.0)))
     report = uniform_step(x, 1)
     assert report.next_state.entries == ((0.25, 0.75), (0.25, 0.75), (2.0, 0.0))
-    assert report.global_range_before == 2.0
-    assert report.global_range_after == 1.75
-    assert report.per_topic_orderings == ((0, 1, 2), (2, 1, 0))
+    assert isinstance(report, StepReport)
+    assert global_range(x) == 2.0
+    assert global_range(report.next_state) == 1.75
+    orderings = tuple(
+        tuple(sorted(range(x.n_agents), key=lambda i: (x.entries[i][j], i)))
+        for j in range(x.n_topics)
+    )
+    assert orderings == ((0, 1, 2), (2, 1, 0))
 
 
 def test_uniform_step_single_topic():
@@ -89,7 +97,7 @@ def test_report_matrices_are_consistent():
     x = OpinionMatrix(((0, 1), (Fraction(1, 2), Fraction(1, 2)), (2, 0)))
     report = uniform_step(x, 1)
     assert report.influence.entries == ((1, 1, 0), (1, 1, 0), (0, 0, 1))
-    assert report.averaging_matrix.entries[0] == (
+    assert row_normalize(report.influence).entries[0] == (
         Fraction(1, 2),
         Fraction(1, 2),
         0,
