@@ -20,6 +20,7 @@ from .core import (
     PropertyViolation,
     Scalar,
     check_epsilon,
+    left_sum,
     matrices_close,
     row_average,
 )
@@ -129,7 +130,8 @@ def cluster_means(x: OpinionMatrix, partition: Partition) -> OpinionMatrix:
         size = Fraction(len(block))
         rows.append(
             tuple(
-                sum(x.entries[i][j] for i in block) / size for j in range(x.n_topics)
+                left_sum(x.entries[i][j] for i in block) / size
+                for j in range(x.n_topics)
             )
         )
     return OpinionMatrix(tuple(rows))

@@ -29,9 +29,12 @@ from .core import (
     Scalar,
     check_epsilon,
     contraction_factor,
+    row_average,
 )
 from .properties import check_trajectory
 from .serialize import (
+    json_int,
+    json_rows,
     matrix_tokens,
     outcome_to_dict,
     read_json,
@@ -61,6 +64,7 @@ EXIT_VIOLATION = 3
 FORMAT_REVISION = 1
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
 TOLERANCE_KEYS = ("tau_fix", "tau_cluster", "tau_row")
+BOX_INIT_KEYS = ("n_agents", "n_topics", "box", "seed", "generator")
 
 
 class UsageError(Exception):
@@ -71,6 +75,24 @@ def _require_keys(raw: dict, keys: Sequence[str], where: str) -> None:
     for key in keys:
         if key not in raw:
             raise ValueError(f"{where} lacks key {key!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_init(init: dict) -> None:
+    """Reject an init spec whose values have the wrong JSON types."""
+    if init.get("kind") == "matrix":
+        _require_keys(init, ("entries",), "manifest init")
+        json_rows(init["entries"], "manifest init 'entries'")
+    elif init.get("kind") == "box":
+        _require_keys(init, BOX_INIT_KEYS, "manifest init")
+        for key in ("n_agents", "n_topics", "seed"):
+            json_int(init[key], f"manifest init {key!r}")
+        box = json_rows(init["box"], "manifest init 'box'")
+        if not all(_is_number(v) for pair in box for v in pair):
+            raise ValueError("manifest init 'box' must hold numbers")
 
 
 @dataclass(frozen=True)
@@ -148,13 +170,17 @@ class RunManifest:
                 raise ValueError(f"manifest key {key!r} must be an object")
         tolerances = raw["tolerances"]
         _require_keys(tolerances, TOLERANCE_KEYS, "manifest tolerances")
+        for key in TOLERANCE_KEYS:
+            if not _is_number(tolerances[key]):
+                raise ValueError(f"manifest tolerance {key!r} must be a number")
         if raw["mode"] not in (MODE_EXACT, MODE_FLOAT):
             raise ValueError(f"unknown mode {raw['mode']!r}")
+        _check_init(raw["init"])
         manifest = cls(
             model=raw["model"],
             mode=raw["mode"],
             epsilon=raw["epsilon"],
-            max_steps=int(raw["max_steps"]),
+            max_steps=json_int(raw["max_steps"], "manifest 'max_steps'"),
             tau_fix=tolerances["tau_fix"],
             tau_cluster=tolerances["tau_cluster"],
             tau_row=tolerances["tau_row"],
@@ -449,7 +475,7 @@ def cmd_plotdata(args) -> int:
         written.append(path.name)
     lines = []
     for record in records:
-        means = [sum(row) / record.state.n_topics for row in record.state.entries]
+        means = row_average(record.state).values
         lines.append(",".join([str(record.step)] + [repr(v) for v in means]))
     path = out_dir / "averages.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -45,6 +47,15 @@ def check_epsilon(epsilon: Scalar) -> None:
 def is_finite(value: Scalar) -> bool:
     """ints and Fractions are always finite; floats must pass isfinite."""
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def left_sum(values: Iterable[Scalar]) -> Scalar:
+    """Sum from int 0, strictly left to right, as the oracle's loops do.
+
+    The built-in ``sum`` adds floats with compensated summation since
+    Python 3.12, which rounds differently from a plain running total.
+    """
+    return reduce(add, values, 0)
 
 
 def rows_use_floats(rows: Iterable[Iterable[Scalar]]) -> bool:
@@ -183,21 +194,19 @@ class InfluenceMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("influence matrix must be square")
-            if any(v not in (0, 1) for v in row):
+            if row.count(0) + row.count(1) != n:
                 raise ValueError("influence entries must be 0 or 1")
             if row[i] != 1:
                 raise ValueError("every agent must be its own neighbor")
-        for i in range(n):
-            for k in range(i + 1, n):
-                if rows[i][k] != rows[k][i]:
-                    raise ValueError("influence matrix must be symmetric")
+        if tuple(zip(*rows)) != rows:
+            raise ValueError("influence matrix must be symmetric")
 
     @property
     def n_agents(self) -> int:
         return len(self.entries)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self.entries[i]) if v)
+        return tuple(compress(range(len(self.entries)), self.entries[i]))
 
     def degree(self, i: int) -> int:
         return sum(self.entries[i])
@@ -253,7 +262,7 @@ class RowStochasticMatrix:
 def row_average(x: OpinionMatrix) -> AverageVector:
     """Per-agent mean opinion across topics."""
     m = Fraction(x.n_topics)
-    return AverageVector(tuple(sum(row) / m for row in x.entries))
+    return AverageVector(tuple(left_sum(row) / m for row in x.entries))
 
 
 def disagreement_seminorm(values: Sequence[Scalar]) -> Scalar:
@@ -283,7 +292,7 @@ def induced_disagreement_seminorm(
     least = None
     for i in range(n):
         for j in range(i + 1, n):
-            overlap = sum(min(p, q) for p, q in zip(rows[i], rows[j]))
+            overlap = left_sum(map(min, rows[i], rows[j]))
             if least is None or overlap < least:
                 least = overlap
     if least is None:
@@ -350,17 +359,23 @@ def global_range(x: OpinionMatrix) -> Scalar:
 
 
 def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatrix:
-    """Replace each row by the mean of its neighbors' rows."""
+    """Replace each row by the mean of its neighbors' rows.
+
+    Each column sums in ascending agent order.  Float sums divide by the
+    int degree, which rounds exactly as dividing by ``Fraction(degree)``
+    does; exact sums divide by a ``Fraction`` so int inputs stay exact.
+    """
     if influence.n_agents != x.n_agents:
         raise ValueError("influence matrix does not match agent count")
+    entries = x.entries
     rows = []
     for i in range(x.n_agents):
         nbrs = influence.neighbors(i)
-        deg = Fraction(len(nbrs))
+        deg = len(nbrs)
+        sums = [left_sum(col) for col in zip(*[entries[k] for k in nbrs])]
+        exact_deg = Fraction(deg)
         rows.append(
-            tuple(
-                sum(x.entries[k][j] for k in nbrs) / deg for j in range(x.n_topics)
-            )
+            tuple(s / deg if isinstance(s, float) else s / exact_deg for s in sums)
         )
     return OpinionMatrix(tuple(rows))
 

@@ -6,9 +6,10 @@ steps.  The verify subcommand and the test suite both run these; a
 violation on real data means the implementation, not the data, is
 wrong.
 
-Strict inequalities are checked as stated on exact data and with a
-1e-12 slack on float data; checks that are only meaningful in exact
-arithmetic skip float trajectories.
+Strict inequalities are checked as stated on exact data.  On float data
+they allow a 1e-12 slack, which checks over the opinions themselves
+scale by the largest opinion (at least 1); checks that are only
+meaningful in exact arithmetic skip float trajectories.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .analysis import (
 from .avemodel import ave_neighbors, is_epsilon_chain, max_average_gap
 from .core import (
     MODEL_AVE,
+    OpinionMatrix,
     PropertyViolation,
     Scalar,
     contraction_factor,
@@ -46,6 +48,13 @@ def _slack(traj: Trajectory) -> Scalar:
     return 0 if traj.config.policy.is_exact else FLOAT_SLACK
 
 
+def _scaled_slack(traj: Trajectory, state: OpinionMatrix) -> Scalar:
+    """Slack for a step from ``state``: float rounding grows with the opinions."""
+    if traj.config.policy.is_exact:
+        return 0
+    return FLOAT_SLACK * max(1, max(abs(v) for row in state.entries for v in row))
+
+
 def check_influence(traj: Trajectory) -> list[str]:
     """Recorded neighbor matrices match the model's neighbor rule."""
     rule = ave_neighbors if traj.config.model == MODEL_AVE else linf_neighbors
@@ -60,15 +69,14 @@ def check_averaging_step(traj: Trajectory) -> list[str]:
     """Each step applies the degree-normalized influence matrix to the state.
 
     The product sums weighted rows where the step divides a sum, so float
-    results differ by rounding; the slack grows with the largest opinion.
+    results differ by rounding.
     """
     exact = traj.config.policy.is_exact
     out = []
     for t, report in enumerate(traj.reports):
         state = traj.states[t]
-        scale = max(1, max(abs(v) for row in state.entries for v in row))
         mixed = matrix_apply(row_normalize(report.influence, exact), state)
-        if not matrices_close(mixed, traj.states[t + 1], _slack(traj) * scale):
+        if not matrices_close(mixed, traj.states[t + 1], _scaled_slack(traj, state)):
             out.append(f"step {t}: next state is not the averaging matrix applied")
     return out
 
@@ -87,11 +95,11 @@ def check_contraction(traj: Trajectory) -> list[str]:
     if traj.config.model != MODEL_AVE:
         return []
     exact = traj.config.policy.is_exact
-    slack = _slack(traj)
     out = []
     for t, report in enumerate(traj.reports):
         before = traj.states[t]
         after = traj.states[t + 1]
+        slack = _scaled_slack(traj, before)
         gamma = contraction_factor(report.influence, exact)
         for j in range(before.n_topics):
             lhs = disagreement_seminorm(after.column(j))
@@ -103,11 +111,11 @@ def check_contraction(traj: Trajectory) -> list[str]:
 
 def check_range_monotone(traj: Trajectory) -> list[str]:
     """Per-topic opinion ranges never grow."""
-    slack = _slack(traj)
     out = []
     for t in range(traj.n_steps):
         before = traj.states[t]
         after = traj.states[t + 1]
+        slack = _scaled_slack(traj, before)
         for j in range(before.n_topics):
             b = disagreement_seminorm(before.column(j))
             a = disagreement_seminorm(after.column(j))
@@ -118,11 +126,11 @@ def check_range_monotone(traj: Trajectory) -> list[str]:
 
 def check_box_confinement(traj: Trajectory) -> list[str]:
     """Per-topic min/max envelopes never widen (steps are convex mixes)."""
-    slack = _slack(traj)
     out = []
     for t in range(traj.n_steps):
         before = traj.states[t]
         after = traj.states[t + 1]
+        slack = _scaled_slack(traj, before)
         for j in range(before.n_topics):
             bcol = before.column(j)
             acol = after.column(j)

@@ -120,6 +120,20 @@ class StepRecord:
     gamma: Optional[Scalar]
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_rows(value, what: str) -> list:
+    """``value`` if it is a JSON list of lists, else a ValueError naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"{what} must be a list of rows")
+    return value
+
+
 def read_trajectory_jsonl(path: PathLike, policy: NumericPolicy) -> list[StepRecord]:
     """Parse a trajectory file; neighbor lists come back 0-based."""
     records = []
@@ -128,19 +142,27 @@ def read_trajectory_jsonl(path: PathLike, policy: NumericPolicy) -> list[StepRec
         if not line:
             continue
         raw = json.loads(line)
+        where = f"trajectory record {len(records)}"
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where} must be a JSON object")
         influence = None
         if "influence" in raw:
-            influence = tuple(
-                tuple(k - 1 for k in nbrs) for nbrs in raw["influence"]
-            )
+            lists = json_rows(raw["influence"], f"{where} 'influence'")
+            if not all(isinstance(k, int) for nbrs in lists for k in nbrs):
+                raise ValueError(f"{where} 'influence' must hold agent numbers")
+            influence = tuple(tuple(k - 1 for k in nbrs) for nbrs in lists)
         ranges = None
         if "topic_ranges" in raw:
+            if not isinstance(raw["topic_ranges"], list):
+                raise ValueError(f"{where} 'topic_ranges' must be a list")
             ranges = tuple(policy.coerce(v) for v in raw["topic_ranges"])
         gamma = policy.coerce(raw["gamma"]) if "gamma" in raw else None
         records.append(
             StepRecord(
-                step=int(raw["step"]),
-                state=OpinionMatrix(policy.coerce_rows(raw["state"])),
+                step=json_int(raw["step"], f"{where} 'step'"),
+                state=OpinionMatrix(
+                    policy.coerce_rows(json_rows(raw["state"], f"{where} 'state'"))
+                ),
                 influence_lists=influence,
                 topic_ranges=ranges,
                 gamma=gamma,

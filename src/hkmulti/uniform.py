@@ -8,6 +8,7 @@ average-based model; only the neighbor test differs.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Optional
 
 from .core import (
@@ -20,20 +21,30 @@ from .core import (
 )
 
 
-def _row_distance(a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> Scalar:
-    return max(abs(p - q) for p, q in zip(a, b))
-
-
 def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
-    """Influence matrix: neighbors iff within epsilon on every topic."""
+    """Influence matrix: neighbors iff within epsilon on every topic.
+
+    Sweeps the agents in order of topic 0 and tests each agent only
+    against the later ones within epsilon on that topic.  Subtraction is
+    monotone and ``abs(a - b) == b - a`` exactly when ``b >= a``, so the
+    first later agent beyond epsilon on topic 0 ends the scan without
+    dropping a neighbor; each pair is tested once, both ways at once.
+    """
     check_epsilon(epsilon)
     rows = x.entries
     n = x.n_agents
-    out = tuple(
-        tuple(1 if _row_distance(rows[i], rows[k]) <= epsilon else 0 for k in range(n))
-        for i in range(n)
-    )
-    return InfluenceMatrix(out)
+    out = [[0] * n for _ in range(n)]
+    order = sorted(range(n), key=lambda i: rows[i][0])
+    for start, i in enumerate(order, 1):
+        row_i = rows[i]
+        out[i][i] = 1
+        for k in order[start:]:
+            row_k = rows[k]
+            if row_k[0] - row_i[0] > epsilon:
+                break
+            if max(map(abs, map(sub, row_i, row_k))) <= epsilon:
+                out[i][k] = out[k][i] = 1
+    return InfluenceMatrix(tuple(map(tuple, out)))
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
@@ -55,7 +66,7 @@ def one_step_preservation_hypothesis(x: OpinionMatrix, epsilon: Scalar) -> bool:
     n = x.n_agents
     for i in range(n):
         for k in range(i + 1, n):
-            if _row_distance(rows[i], rows[k]) <= epsilon:
+            if max(map(abs, map(sub, rows[i], rows[k]))) <= epsilon:
                 continue
             if any(abs(p - q) <= epsilon for p, q in zip(rows[i], rows[k])):
                 return False

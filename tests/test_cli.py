@@ -593,6 +593,43 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
             ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
             id="jsonl-zero-division",
         ),
+        pytest.param(
+            {"m.json": json.dumps(_manifest_dict(max_steps=None)), "t.jsonl": ""},
+            VERIFY_M,
+            id="manifest-max-steps-null",
+        ),
+        pytest.param(
+            {
+                "m.json": json.dumps(
+                    _manifest_dict(
+                        mode="float",
+                        tolerances={"tau_fix": "1e-9", "tau_cluster": 0, "tau_row": 0},
+                    )
+                ),
+                "t.jsonl": "",
+            },
+            VERIFY_M,
+            id="manifest-tolerance-string",
+        ),
+        pytest.param(
+            {
+                "m.json": json.dumps(
+                    _manifest_dict(
+                        init={"kind": "box", "n_agents": None, "n_topics": 1,
+                              "box": [[0, 1]], "seed": 1,
+                              "generator": "python-random-mt19937"},
+                    )
+                ),
+                "t.jsonl": "",
+            },
+            VERIFY_M,
+            id="manifest-box-agents-null",
+        ),
+        pytest.param(
+            {"t.jsonl": '{"state":5,"step":0}\n'},
+            ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            id="jsonl-state-int",
+        ),
     ],
 )
 def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkmulti import (
@@ -245,3 +246,23 @@ def test_averaging_check_ties_the_matrix_to_the_transition():
     assert check_trajectory(broken, ["averaging-matrix"])[0] == (
         "averaging-matrix: step 0: next state is not the averaging matrix applied"
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_checks_scale_their_slack_with_the_opinions(seed):
+    # at consensus float gamma rounds just below 0, so an absolute 1e-12
+    # slack reported "spread 0.0 exceeds bound -1.3e-12" on these valid runs
+    policy = NumericPolicy.floating()
+    initial = sample_initial(60, 2, (-3000, 3000), seed, policy)
+    traj = run(SimulationConfig("ave", 1800.0, 50, policy), initial)
+    assert traj.terminated
+    assert check_trajectory(traj) == []
+    # a real widening of 1e-6 times the opinion scale is still caught
+    before = traj.states[-2]
+    scale = max(abs(v) for row in before.entries for v in row)
+    rows = [list(row) for row in traj.states[-1].entries]
+    rows[0][0] = max(before.column(0)) + 1e-6 * scale
+    nudged = traj.states[:-1] + (OpinionMatrix(tuple(map(tuple, rows))),)
+    broken = dataclasses.replace(traj, states=nudged)
+    for name in ("contraction", "range-monotone", "box-confinement"):
+        assert check_trajectory(broken, [name]), name

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkmulti import (
     OpinionMatrix,
@@ -25,6 +26,53 @@ def test_linf_requires_closeness_on_every_topic():
     x = OpinionMatrix(((0, 2), (2, 0)))
     assert linf_neighbors(x, 1).entries == ((1, 0), (0, 1))
     assert linf_neighbors(x, 2).entries == ((1, 1), (1, 1))
+
+
+def _all_pairs_neighbors(x, epsilon):
+    rows = x.entries
+    return tuple(
+        tuple(
+            1 if max(abs(p - q) for p, q in zip(a, b)) <= epsilon else 0 for b in rows
+        )
+        for a in rows
+    )
+
+
+# quarters make exact ties at epsilon and repeated topic-0 values common;
+# the box is [-2, 2], so the largest epsilons link every pair
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+float_opinions = st.one_of(quarters, st.just(-0.0), st.floats(-2, 2))
+exact_opinions = st.integers(-20, 20).map(lambda k: Fraction(k, 10))
+
+
+@st.composite
+def sweep_cases(draw):
+    exact = draw(st.booleans())
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    opinions = exact_opinions if exact else float_opinions
+    rows = draw(
+        st.lists(st.lists(opinions, min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+    if exact:
+        epsilon = draw(st.integers(1, 50).map(lambda k: Fraction(k, 10)))
+    else:
+        epsilon = draw(st.one_of(quarters.filter(lambda v: v > 0), st.floats(1e-3, 5)))
+    return OpinionMatrix(tuple(map(tuple, rows))), epsilon
+
+
+# a gap of exactly epsilon on topic 0, repeated topic-0 values, -0.0 and 0.0
+# sorted together, and an epsilon that links every pair
+EDGES = OpinionMatrix(((0.5, 0.0), (-0.0, 1.0), (0.0, 0.25), (0.5, 0.5), (0.75, 0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+@example((EDGES, 0.5))
+@example((EDGES, 1.0))
+def test_linf_sweep_equals_all_pairs(case):
+    x, epsilon = case
+    assert linf_neighbors(x, epsilon).entries == _all_pairs_neighbors(x, epsilon)
 
 
 def test_uniform_step_example():
