@@ -7,8 +7,9 @@ Stdlib only, so it runs on any supported interpreter without pytest:
 For random float and exact states it compares ``ave_step`` and
 ``uniform_step`` against ``oracle.naive_model_step`` by ``repr`` of every
 entry, and the float contraction factor against the dense induced
-seminorm of the averaging matrix.  Prints one summary line per check and
-exits 1 on any mismatch.
+seminorm of the averaging matrix.  In half the cases agents repeat a few
+rows, as after clusters merge, with 0.0 and -0.0 mixed in.  Prints one
+summary line per check and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def random_case(rng: random.Random, exact: bool):
     n, m = rng.randint(1, 40), rng.randint(1, 4)
     scale = rng.choice((1.0, 1e3, 1e6))
     rows = [[rng.uniform(-scale, scale) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.5:
+        pool = rows[: rng.randint(1, 5)]
+        for row in pool:
+            row[rng.randrange(m)] = rng.choice((0.0, -0.0))
+        # zeros flip sign per agent, so equal rows may differ in it
+        rows = [[-v if v == 0 and rng.random() < 0.5 else v for v in rng.choice(pool)] for _ in range(n)]
     eps = rng.uniform(0.05, 1.0) * scale
     if exact:
         return OpinionMatrix([[Fraction(v) for v in row] for row in rows]), Fraction(eps)

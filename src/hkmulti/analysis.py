@@ -14,12 +14,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    K,
     MODEL_AVE,
     NumericPolicy,
     OpinionMatrix,
     PropertyViolation,
     Scalar,
     check_epsilon,
+    distinct,
     left_sum,
     matrices_close,
     row_average,
@@ -77,10 +79,15 @@ def refines(finer: Partition, coarser: Partition) -> bool:
     return all(any(set(b) <= c for c in coarse) for b in finer.blocks)
 
 
-def _group(n: int, close: Callable[[int, int], bool]) -> Partition:
-    # union-find so float tolerance closeness (not transitive) still
-    # yields a genuine partition via its transitive closure
-    parent = list(range(n))
+def _group(keys: Sequence[K], close: Callable[[K, K], bool]) -> Partition:
+    """Agents grouped by the transitive closure of ``close`` on their keys.
+
+    A union-find, so float tolerance closeness (not transitive) still
+    yields a genuine partition.  It runs over the distinct keys only:
+    every tolerance is nonnegative, so equal keys are always close.
+    """
+    values, labels = distinct(keys)
+    parent = list(range(len(values)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -88,25 +95,23 @@ def _group(n: int, close: Callable[[int, int], bool]) -> Partition:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for k in range(i + 1, n):
-            if close(i, k):
+    for i, a in enumerate(values):
+        for k in range(i + 1, len(values)):
+            if close(a, values[k]):
                 ri, rk = find(i), find(k)
                 if ri != rk:
                     parent[rk] = ri
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for agent, label in enumerate(labels):
+        groups.setdefault(find(label), []).append(agent)
     return Partition(tuple(tuple(g) for g in groups.values()))
 
 
 def opinion_partition(x: OpinionMatrix, policy: NumericPolicy) -> Partition:
     """Group agents whose full opinion rows agree within tau_cluster."""
-    rows = x.entries
     tol = policy.tau_cluster
     return _group(
-        x.n_agents,
-        lambda i, k: all(abs(p - q) <= tol for p, q in zip(rows[i], rows[k])),
+        x.entries, lambda a, b: all(abs(p - q) <= tol for p, q in zip(a, b))
     )
 
 
@@ -116,9 +121,8 @@ def per_topic_partition(x: OpinionMatrix, topic: int, policy: NumericPolicy) -> 
     The full-row grouping always refines each of these, and can be
     strictly finer when clusters share a coordinate.
     """
-    col = x.column(topic)
     tol = policy.tau_cluster
-    return _group(x.n_agents, lambda i, k: abs(col[i] - col[k]) <= tol)
+    return _group(x.column(topic), lambda a, b: abs(a - b) <= tol)
 
 
 def cluster_means(x: OpinionMatrix, partition: Partition) -> OpinionMatrix:
@@ -198,11 +202,8 @@ def classify_outcome(
     matrix = cluster_means(x, partition)
     averages = row_average(matrix).values
 
-    agent_averages = row_average(x).values
     tol = policy.tau_cluster
-    average_partition = _group(
-        x.n_agents, lambda i, k: abs(agent_averages[i] - agent_averages[k]) <= tol
-    )
+    average_partition = _group(row_average(x).values, lambda a, b: abs(a - b) <= tol)
     agree = partition == average_partition
 
     separation: Optional[Scalar] = None

@@ -16,18 +16,20 @@ from .core import (
     StepReport,
     check_epsilon,
     disagreement_seminorm,
+    distinct,
+    expand_influence,
     neighbor_means,
     row_average,
 )
 
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
-    n = len(values)
-    rows = tuple(
-        tuple(1 if abs(values[i] - values[k]) <= epsilon else 0 for k in range(n))
-        for i in range(n)
+    # agents with equal means have equal neighbors: test each pair of
+    # distinct means once
+    means, labels = distinct(values)
+    return expand_influence(
+        labels, [[d for d, b in enumerate(means) if abs(a - b) <= epsilon] for a in means]
     )
-    return InfluenceMatrix(rows)
 
 
 def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:

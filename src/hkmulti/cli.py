@@ -62,6 +62,8 @@ EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
 FORMAT_REVISION = 1
+# largest START:END range that batch accepts
+MAX_SEEDS = 100_000
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
 TOLERANCE_KEYS = ("tau_fix", "tau_cluster", "tau_row")
 BOX_INIT_KEYS = ("n_agents", "n_topics", "box", "seed", "generator")
@@ -247,8 +249,11 @@ def _parse_seeds(spec: str) -> list[int]:
     spec = spec.strip()
     try:
         if ":" in spec:
-            lo, hi = spec.split(":", 1)
-            seeds = list(range(int(lo), int(hi)))
+            lo, hi = (int(tok) for tok in spec.split(":", 1))
+            # checked before the range becomes a list, so a huge one fails at once
+            if hi - lo > MAX_SEEDS:
+                raise UsageError(f"--seeds {spec!r} selects more than {MAX_SEEDS} seeds")
+            seeds = list(range(lo, hi))
         else:
             seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
@@ -437,11 +442,7 @@ def cmd_verify(args) -> int:
         if t < fresh.n_steps:
             report = fresh.reports[t]
             if record.influence_lists is not None:
-                expected_lists = tuple(
-                    report.influence.neighbors(i)
-                    for i in range(fresh.states[t].n_agents)
-                )
-                if record.influence_lists != expected_lists:
+                if record.influence_lists != report.influence.neighbor_lists():
                     violations.append(f"step {t}: neighbor lists differ from replay")
             if record.gamma is not None and record.gamma != contraction_factor(
                 report.influence, policy.is_exact
@@ -501,7 +502,9 @@ def build_parser() -> Parser:
     p = sub.add_parser("batch", help="run many seeded trajectories")
     _add_model_flags(p)
     _add_sampling_flags(p)
-    p.add_argument("--seeds", required=True, help="START:END or comma list")
+    p.add_argument(
+        "--seeds", required=True, help=f"START:END (at most {MAX_SEEDS}) or comma list"
+    )
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="summary JSON path (default stdout)")

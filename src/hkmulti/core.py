@@ -9,19 +9,31 @@ scalar type of the data (dividing by ``Fraction(count)`` keeps exact
 inputs exact while float inputs stay float); :class:`NumericPolicy`
 decides how external inputs are coerced and which tolerances
 comparisons use.
+
+An agent's neighbor set depends only on its own opinion row, and the
+dynamics merge agents into clusters of equal rows, so equal agents are
+computed once: each part of a step runs once per distinct row, mean or
+neighbor set (:func:`distinct`) and agents with equal values share the
+result.  Values are grouped by ``==``, so ``0.0`` and ``-0.0`` form one
+class; every difference and comparison the rules take treats them alike.
+:class:`OpinionMatrix` therefore holds floats only or exact values
+only: a float equal to a Fraction would share its class but not its
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress
 from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, TypeVar, Union
 
 Scalar = Union[int, float, Fraction]
+K = TypeVar("K", bound=Hashable)
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
@@ -56,6 +68,13 @@ def left_sum(values: Iterable[Scalar]) -> Scalar:
     Python 3.12, which rounds differently from a plain running total.
     """
     return reduce(add, values, 0)
+
+
+def distinct(values: Iterable[K]) -> tuple[list[K], list[int]]:
+    """The distinct values in first-seen order, and each item's index among them."""
+    index: dict[K, int] = {}
+    labels = [index.setdefault(v, len(index)) for v in values]
+    return list(index), labels
 
 
 def rows_use_floats(rows: Iterable[Iterable[Scalar]]) -> bool:
@@ -145,6 +164,9 @@ class OpinionMatrix:
             for v in row:
                 if not is_finite(v):
                     raise ValueError("opinion entries must be finite")
+        floats = sum(isinstance(v, float) for row in rows for v in row)
+        if 0 < floats < len(rows) * width:
+            raise ValueError("opinion entries mix floats with exact values")
 
     @property
     def n_agents(self) -> int:
@@ -208,8 +230,36 @@ class InfluenceMatrix:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(compress(range(len(self.entries)), self.entries[i]))
 
+    def neighbor_lists(self, first: int = 0) -> tuple[tuple[int, ...], ...]:
+        """Every agent's neighbors, numbered from ``first``.
+
+        Built once per distinct row; agents with equal rows share one tuple.
+        """
+        rows, labels = distinct(self.entries)
+        agents = range(first, first + len(self.entries))
+        lists = [tuple(compress(agents, row)) for row in rows]
+        return tuple(map(lists.__getitem__, labels))
+
     def degree(self, i: int) -> int:
         return sum(self.entries[i])
+
+
+def expand_influence(
+    labels: Sequence[int], neighbors: Sequence[Iterable[int]]
+) -> InfluenceMatrix:
+    """Dense influence matrix of agents from the neighbors of their classes.
+
+    ``labels[i]`` is agent i's class and ``neighbors[c]`` lists the
+    classes that class c neighbors.  All agents of one class share one
+    row tuple.
+    """
+    rows = []
+    for nbrs in neighbors:
+        linked = [0] * len(neighbors)
+        for d in nbrs:
+            linked[d] = 1
+        rows.append(tuple(map(linked.__getitem__, labels)))
+    return InfluenceMatrix(tuple(map(rows.__getitem__, labels)))
 
 
 @dataclass(frozen=True)
@@ -259,10 +309,16 @@ class RowStochasticMatrix:
         return len(self.entries)
 
 
+def _divide(total: Scalar, count: int) -> Scalar:
+    # a float divided by the int rounds exactly as dividing by
+    # Fraction(count) does; exact totals divide by a Fraction so ints stay exact
+    return total / count if isinstance(total, float) else total / Fraction(count)
+
+
 def row_average(x: OpinionMatrix) -> AverageVector:
     """Per-agent mean opinion across topics."""
-    m = Fraction(x.n_topics)
-    return AverageVector(tuple(left_sum(row) / m for row in x.entries))
+    m = x.n_topics
+    return AverageVector(tuple(_divide(left_sum(row), m) for row in x.entries))
 
 
 def disagreement_seminorm(values: Sequence[Scalar]) -> Scalar:
@@ -324,14 +380,19 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     :func:`induced_disagreement_seminorm` (Seneta's ergodicity
     coefficient) needs only neighbor-set overlaps.  Float overlaps add
     the weight term by term from 0.0, as the dense sum does, so both
-    forms agree bit for bit.  A single agent gives 0.
+    forms agree bit for bit.  Only distinct rows are paired; a row that
+    repeats also overlaps itself fully.  A single agent gives 0.
     """
+    rows, labels = distinct(phi.entries)
     # neighbor sets as int bitsets; a popcount is a degree or an overlap
-    sets = [int("".join(map(str, row)), 2) for row in phi.entries]
+    sets = [int("".join(map(str, row)), 2) for row in rows]
+    sized = [(s, s.bit_count()) for s in sets]
     keys = {
         ((a & b).bit_count(), max(da, db))
-        for (a, da), (b, db) in combinations([(s, s.bit_count()) for s in sets], 2)
+        for (a, da), (b, db) in combinations(sized, 2)
     }
+    repeats = Counter(labels)
+    keys.update((d, d) for c, (_, d) in enumerate(sized) if repeats[c] > 1)
     if not keys:
         return 0
     return 1 - min(_overlap(count, degree, exact) for count, degree in keys)
@@ -361,23 +422,21 @@ def global_range(x: OpinionMatrix) -> Scalar:
 def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatrix:
     """Replace each row by the mean of its neighbors' rows.
 
-    Each column sums in ascending agent order.  Float sums divide by the
-    int degree, which rounds exactly as dividing by ``Fraction(degree)``
-    does; exact sums divide by a ``Fraction`` so int inputs stay exact.
+    One mean per distinct influence row, shared by the agents that have
+    it.  Each column sums in ascending agent order, then divides by the
+    degree.
     """
     if influence.n_agents != x.n_agents:
         raise ValueError("influence matrix does not match agent count")
     entries = x.entries
-    rows = []
-    for i in range(x.n_agents):
-        nbrs = influence.neighbors(i)
+    agents = range(x.n_agents)
+    rows, labels = distinct(influence.entries)
+    means = []
+    for row in rows:
+        nbrs = [entries[k] for k in compress(agents, row)]
         deg = len(nbrs)
-        sums = [left_sum(col) for col in zip(*[entries[k] for k in nbrs])]
-        exact_deg = Fraction(deg)
-        rows.append(
-            tuple(s / deg if isinstance(s, float) else s / exact_deg for s in sums)
-        )
-    return OpinionMatrix(tuple(rows))
+        means.append(tuple(_divide(left_sum(col), deg) for col in zip(*nbrs)))
+    return OpinionMatrix(tuple(map(means.__getitem__, labels)))
 
 
 def matrix_apply(a: RowStochasticMatrix, x: OpinionMatrix) -> OpinionMatrix:

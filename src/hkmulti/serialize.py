@@ -82,10 +82,7 @@ def trajectory_lines(traj: Trajectory) -> list[str]:
         record = {
             "step": t,
             "state": matrix_tokens(state, exact),
-            "influence": [
-                [k + 1 for k in report.influence.neighbors(i)]
-                for i in range(state.n_agents)
-            ],
+            "influence": report.influence.neighbor_lists(first=1),
             "topic_ranges": [
                 scalar_token(topic_range(state, j), exact)
                 for j in range(state.n_topics)

@@ -17,6 +17,8 @@ from .core import (
     Scalar,
     StepReport,
     check_epsilon,
+    distinct,
+    expand_influence,
     neighbor_means,
 )
 
@@ -24,27 +26,28 @@ from .core import (
 def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     """Influence matrix: neighbors iff within epsilon on every topic.
 
-    Sweeps the agents in order of topic 0 and tests each agent only
-    against the later ones within epsilon on that topic.  Subtraction is
-    monotone and ``abs(a - b) == b - a`` exactly when ``b >= a``, so the
-    first later agent beyond epsilon on topic 0 ends the scan without
-    dropping a neighbor; each pair is tested once, both ways at once.
+    Agents with equal rows have equal neighbors, so only the distinct
+    rows are tested.  The sweep visits them in order of topic 0 and
+    tests each row only against the later ones within epsilon on that
+    topic.  Subtraction is monotone and ``abs(a - b) == b - a`` exactly
+    when ``b >= a``, so the first later row beyond epsilon on topic 0
+    ends the scan without dropping a neighbor; each pair is tested once,
+    both ways at once.
     """
     check_epsilon(epsilon)
-    rows = x.entries
-    n = x.n_agents
-    out = [[0] * n for _ in range(n)]
-    order = sorted(range(n), key=lambda i: rows[i][0])
+    rows, labels = distinct(x.entries)
+    nbrs = [[c] for c in range(len(rows))]
+    order = sorted(range(len(rows)), key=lambda c: rows[c][0])
     for start, i in enumerate(order, 1):
         row_i = rows[i]
-        out[i][i] = 1
         for k in order[start:]:
             row_k = rows[k]
             if row_k[0] - row_i[0] > epsilon:
                 break
             if max(map(abs, map(sub, row_i, row_k))) <= epsilon:
-                out[i][k] = out[k][i] = 1
-    return InfluenceMatrix(tuple(map(tuple, out)))
+                nbrs[i].append(k)
+                nbrs[k].append(i)
+    return expand_influence(labels, nbrs)
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:

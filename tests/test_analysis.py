@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkmulti import (
     OUTCOME_CLUSTERING,
@@ -15,6 +16,7 @@ from hkmulti import (
     opinion_partition,
     per_topic_partition,
     refines,
+    row_average,
 )
 
 EXACT = NumericPolicy.exact()
@@ -147,3 +149,66 @@ def test_single_agent_is_consensus():
     report = classify_outcome(OpinionMatrix(((5, 7),)), 1, EXACT, "uniform")
     assert report.outcome == OUTCOME_CONSENSUS
     assert report.cluster_averages == (6,)
+
+
+TAU = 1e-9
+# a fixed-point tolerance far above the in-cluster spread, so states whose
+# clusters are tolerance chains still classify as terminal
+CHAINED = NumericPolicy.floating(tau_fix=1e-6, tau_cluster=TAU)
+
+
+def _all_pairs_partition(n, close):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for k in range(i + 1, n):
+            if close(i, k):
+                parent[find(k)] = find(i)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    return Partition(tuple(map(tuple, blocks.values())))
+
+
+@st.composite
+def chained_cluster_states(draw):
+    """Clusters 10 apart, some sharing a coordinate, each a tolerance chain.
+
+    Offsets 0, 0.6 tau and 1.2 tau on a topic join in one group, although
+    the two ends are not within tau; rows repeat across agents.
+    """
+    m = draw(st.integers(1, 3))
+    centers = st.tuples(*[st.integers(0, 3).map(lambda c: 10.0 * c)] * m)
+    offsets = st.tuples(*[st.sampled_from((0.0, 0.6 * TAU, 1.2 * TAU))] * m)
+    rows = st.builds(lambda c, o: tuple(map(float.__add__, c, o)), centers, offsets)
+    pool = draw(st.lists(rows, min_size=1, max_size=8))
+    return OpinionMatrix(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_cluster_states())
+@example(OpinionMatrix(((0.0,), (0.6 * TAU,), (1.2 * TAU,), (0.6 * TAU,), (0.0,))))
+@example(OpinionMatrix(((0.0, 10.0), (1.2 * TAU, 10.0), (10.0, 10.0), (0.6 * TAU, 10.0))))
+def test_groupings_equal_all_pairs_union_find(x):
+    rows = x.entries
+    n = x.n_agents
+    full = _all_pairs_partition(
+        n, lambda i, k: all(abs(p - q) <= TAU for p, q in zip(rows[i], rows[k]))
+    )
+    assert opinion_partition(x, CHAINED) == full
+    for topic in range(x.n_topics):
+        col = x.column(topic)
+        want = _all_pairs_partition(n, lambda i, k: abs(col[i] - col[k]) <= TAU)
+        assert per_topic_partition(x, topic, CHAINED) == want
+    means = row_average(x).values
+    report = classify_outcome(x, 1.0, CHAINED, "uniform")
+    assert report.terminated
+    assert report.average_partition == _all_pairs_partition(
+        n, lambda i, k: abs(means[i] - means[k]) <= TAU
+    )
+

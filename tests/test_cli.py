@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from hkmulti.cli import RunManifest, main
+from hkmulti.cli import MAX_SEEDS, RunManifest, UsageError, _parse_seeds, main
 from hkmulti.serialize import read_json, read_matrix_csv
 from hkmulti import NumericPolicy
 
@@ -461,6 +462,22 @@ def test_batch_bad_seeds(tmp_path):
             )
             == 1
         )
+
+
+@pytest.mark.parametrize("spec", ["0:1000000000000", f"7:{10**30}"])
+def test_batch_rejects_huge_seed_ranges_at_once(tmp_path, capsys, spec):
+    argv = ["batch", "--model", "ave", "--epsilon", "1", "--agents", "2", "--topics", "1"]
+    started = time.perf_counter()
+    assert main(argv + ["--seeds", spec, "--out", str(tmp_path / "b.json")]) == 1
+    assert time.perf_counter() - started < 2.0
+    assert f"error: --seeds {spec!r} selects more than {MAX_SEEDS} seeds" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_seed_range_limit_is_inclusive():
+    assert _parse_seeds(f"5:{5 + MAX_SEEDS}") == list(range(5, 5 + MAX_SEEDS))
+    with pytest.raises(UsageError):
+        _parse_seeds(f"5:{6 + MAX_SEEDS}")
 
 
 def test_plotdata(tmp_path, three_agents):

@@ -147,6 +147,10 @@ def test_opinion_matrix_validation():
         OpinionMatrix(((float("nan"),),))
     with pytest.raises(ValueError):
         OpinionMatrix(((float("inf"), 0.0),))
+    with pytest.raises(ValueError, match="mix floats with exact values"):
+        OpinionMatrix(((Fraction(1, 2),), (0.5,)))
+    with pytest.raises(ValueError, match="mix floats with exact values"):
+        OpinionMatrix(((1, 0.5),))
     x = OpinionMatrix(((1, 2), (3, 4)))
     assert x.n_agents == 2 and x.n_topics == 2
     assert x.column(1) == (2, 4)

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkmulti import (
     OpinionMatrix,
     ave_step,
+    contraction_factor,
     induced_disagreement_seminorm,
     induced_seminorm_bruteforce,
     naive_model_step,
+    row_normalize,
     scalar_hk_step,
     uniform_step,
 )
@@ -73,3 +76,44 @@ def test_naive_step_matches_production_bitwise():
             got_f = naive_model_step(xf, float(eps), model).entries
             assert got_f == expected_f
             assert all(isinstance(v, float) for row in got_f for v in row)
+
+
+# quarter-grid values make exact ties at epsilon common; 0.0 and -0.0 are
+# equal rows to the production step, so both must land in one column
+float_quarters = st.integers(-8, 8).map(lambda k: k / 4)
+float_values = st.one_of(float_quarters, st.sampled_from((0.0, -0.0)), st.floats(-2, 2))
+exact_values = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def repeated_row_states(draw):
+    """A few distinct rows, each held by several agents, as after clusters merge."""
+    exact = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    values = exact_values if exact else float_values
+    pool = draw(st.lists(st.tuples(*[values] * m), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    if exact:
+        epsilon = draw(st.integers(1, 16).map(lambda k: Fraction(k, 4)))
+    else:
+        epsilon = draw(st.one_of(float_quarters.filter(lambda v: v > 0), st.floats(1e-3, 4)))
+    return exact, OpinionMatrix(tuple(rows)), epsilon
+
+
+SIGNED_ZEROS = OpinionMatrix(
+    ((0.0, 0.25), (-0.0, 0.25), (0.5, -0.0), (0.0, 0.25), (0.5, 0.0), (-0.0, 0.25), (0.75, 0.5))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_row_states())
+@example((False, SIGNED_ZEROS, 0.25))
+@example((False, SIGNED_ZEROS, 0.5))
+def test_repeated_rows_match_the_oracle(case):
+    exact, x, epsilon = case
+    for model, step in (("ave", ave_step), ("uniform", uniform_step)):
+        report = step(x, epsilon)
+        want = naive_model_step(x, epsilon, model)
+        assert repr(report.next_state.entries) == repr(want.entries)
+        dense = induced_disagreement_seminorm(row_normalize(report.influence, exact))
+        assert repr(contraction_factor(report.influence, exact)) == repr(dense)
