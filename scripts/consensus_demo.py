@@ -21,6 +21,7 @@ from hkmulti import (
     sample_initial,
     topic_range,
 )
+from hkmulti.core import check_epsilon
 
 
 def narrate(traj, label):
@@ -57,7 +58,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--agents", type=int, default=10)
     ap.add_argument("--topics", type=int, default=2)
-    ap.add_argument("--epsilon", type=float, default=0.8)
+    ap.add_argument("--epsilon", default="0.8", help="confidence bound, e.g. 0.8 or 4/5")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--box", type=float, nargs=2, default=(-1.0, 1.0))
     ap.add_argument("--max-steps", type=int, default=100)
@@ -65,10 +66,16 @@ def main():
     args = ap.parse_args()
 
     policy = NumericPolicy.exact() if args.mode == "exact" else NumericPolicy.floating()
+    # parsed as hkmulti run does: "0.8" is exactly 4/5 in exact mode
+    try:
+        epsilon = policy.coerce(args.epsilon)
+        check_epsilon(epsilon)
+    except ValueError as exc:
+        ap.error(f"bad --epsilon {args.epsilon!r}: {exc}")
     initial = sample_initial(args.agents, args.topics, tuple(args.box), args.seed, policy)
 
     for model in (MODEL_UNIFORM, MODEL_AVE):
-        config = SimulationConfig(model, args.epsilon, args.max_steps, policy)
+        config = SimulationConfig(model, epsilon, args.max_steps, policy)
         traj = run(config, initial)
         narrate(traj, f"{model} model, epsilon {args.epsilon}, seed {args.seed}")
     return 0

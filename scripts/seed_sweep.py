@@ -14,6 +14,7 @@ from hkmulti import (
     classify_outcome,
     sample_initial,
 )
+from hkmulti.core import check_epsilon
 
 
 def main():
@@ -21,7 +22,7 @@ def main():
     ap.add_argument("--model", choices=("ave", "uniform"), default="uniform")
     ap.add_argument("--agents", type=int, default=10)
     ap.add_argument("--topics", type=int, default=2)
-    ap.add_argument("--epsilon", type=float, default=0.8)
+    ap.add_argument("--epsilon", default="0.8", help="confidence bound, e.g. 0.8 or 4/5")
     ap.add_argument("--seeds", type=int, default=100, help="runs seeds 0..N-1")
     ap.add_argument("--box", type=float, nargs=2, default=(-1.0, 1.0))
     ap.add_argument("--max-steps", type=int, default=200)
@@ -31,7 +32,13 @@ def main():
     args = ap.parse_args()
 
     policy = NumericPolicy.exact() if args.mode == "exact" else NumericPolicy.floating()
-    config = SimulationConfig(args.model, args.epsilon, args.max_steps, policy)
+    # parsed as hkmulti run does: "0.8" is exactly 4/5 in exact mode
+    try:
+        epsilon = policy.coerce(args.epsilon)
+        check_epsilon(epsilon)
+    except ValueError as exc:
+        ap.error(f"bad --epsilon {args.epsilon!r}: {exc}")
+    config = SimulationConfig(args.model, epsilon, args.max_steps, policy)
     jobs = [
         (config, sample_initial(args.agents, args.topics, tuple(args.box), seed, policy))
         for seed in range(args.seeds)
@@ -44,7 +51,7 @@ def main():
     cluster_counts = Counter()
     for seed, traj in enumerate(trajectories):
         report = classify_outcome(
-            traj.final_state, args.epsilon, policy, args.model, traj.termination_step
+            traj.final_state, epsilon, policy, args.model, traj.termination_step
         )
         n_clusters = report.partition.n_blocks if report.partition is not None else None
         outcomes[report.outcome] += 1

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +29,6 @@ from .core import (
     PropertyViolation,
     Scalar,
     check_epsilon,
-    contraction_factor,
     row_average,
 )
 from .properties import check_trajectory
@@ -61,11 +61,11 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
-FORMAT_REVISION = 1
+FORMAT_REVISION = 2
 # largest START:END range that batch accepts
 MAX_SEEDS = 100_000
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
-TOLERANCE_KEYS = ("tau_fix", "tau_cluster", "tau_row")
+TOLERANCE_KEYS = ("tau_fix", "tau_cluster")
 BOX_INIT_KEYS = ("n_agents", "n_topics", "box", "seed", "generator")
 
 
@@ -112,7 +112,6 @@ class RunManifest:
     max_steps: int
     tau_fix: float
     tau_cluster: float
-    tau_row: float
     init: dict
     tool_version: str = __version__
     format_revision: int = FORMAT_REVISION
@@ -120,7 +119,7 @@ class RunManifest:
     def policy(self) -> NumericPolicy:
         if self.mode == MODE_EXACT:
             return NumericPolicy.exact()
-        return NumericPolicy.floating(self.tau_fix, self.tau_cluster, self.tau_row)
+        return NumericPolicy.floating(self.tau_fix, self.tau_cluster)
 
     def config(self) -> SimulationConfig:
         return SimulationConfig(self.model, self.epsilon, self.max_steps, self.policy())
@@ -153,7 +152,6 @@ class RunManifest:
             "tolerances": {
                 "tau_fix": self.tau_fix,
                 "tau_cluster": self.tau_cluster,
-                "tau_row": self.tau_row,
             },
             "init": self.init,
         }
@@ -185,7 +183,6 @@ class RunManifest:
             max_steps=json_int(raw["max_steps"], "manifest 'max_steps'"),
             tau_fix=tolerances["tau_fix"],
             tau_cluster=tolerances["tau_cluster"],
-            tau_row=tolerances["tau_row"],
             init=raw["init"],
             tool_version=str(raw.get("tool_version", "")),
         )
@@ -199,7 +196,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def _policy_from_args(args) -> NumericPolicy:
-    overrides = (args.tau_fix, args.tau_cluster, args.tau_row)
+    overrides = (args.tau_fix, args.tau_cluster)
     if args.mode == MODE_EXACT:
         if any(v not in (None, 0.0) for v in overrides):
             raise UsageError("exact mode does not take tolerance overrides")
@@ -209,8 +206,6 @@ def _policy_from_args(args) -> NumericPolicy:
         kwargs["tau_fix"] = args.tau_fix
     if args.tau_cluster is not None:
         kwargs["tau_cluster"] = args.tau_cluster
-    if args.tau_row is not None:
-        kwargs["tau_row"] = args.tau_row
     return NumericPolicy.floating(**kwargs)
 
 
@@ -229,7 +224,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=(MODE_EXACT, MODE_FLOAT), default=MODE_FLOAT)
     p.add_argument("--tau-fix", type=float, default=None, help="fixed point tolerance")
     p.add_argument("--tau-cluster", type=float, default=None, help="cluster tolerance")
-    p.add_argument("--tau-row", type=float, default=None, help="row sum tolerance")
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
@@ -289,16 +283,14 @@ def cmd_run(args) -> int:
     if args.init is not None:
         if args.agents is not None or args.topics is not None or args.seed is not None:
             raise UsageError("--init replaces --agents/--topics/--seed")
-        initial = read_matrix_csv(args.init, policy)
         init_spec = {
             "kind": "matrix",
-            "entries": matrix_tokens(initial, policy.is_exact),
+            "entries": matrix_tokens(read_matrix_csv(args.init, policy), policy.is_exact),
         }
     else:
         if args.agents is None or args.topics is None or args.seed is None:
             raise UsageError("need --init or all of --agents, --topics, --seed")
         bounds = normalize_box(tuple(args.box), args.topics)
-        initial = sample_initial(args.agents, args.topics, bounds, args.seed, policy)
         init_spec = {
             "kind": "box",
             "n_agents": args.agents,
@@ -307,7 +299,6 @@ def cmd_run(args) -> int:
             "seed": args.seed,
             "generator": GENERATOR_NAME,
         }
-    config = SimulationConfig(args.model, epsilon, args.max_steps, policy)
     manifest = RunManifest(
         model=args.model,
         mode=policy.mode,
@@ -315,10 +306,10 @@ def cmd_run(args) -> int:
         max_steps=args.max_steps,
         tau_fix=float(policy.tau_fix),
         tau_cluster=float(policy.tau_cluster),
-        tau_row=float(policy.tau_row),
         init=init_spec,
     )
-    traj = run(config, initial)
+    # the same two calls that verify replays
+    traj = run(manifest.config(), manifest.initial_state())
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,37 +408,19 @@ def cmd_verify(args) -> int:
         trajectory_path = Path(args.trajectory)
 
     manifest = RunManifest.from_dict(read_json(manifest_path))
-    policy = manifest.policy()
     fresh = run(manifest.config(), manifest.initial_state())
+    # parsed only to reject malformed input with exit 1; the replay's
+    # bytes are the reference for every field in both numeric modes
+    read_trajectory_jsonl(trajectory_path, manifest.policy())
 
     violations = []
-    file_text = trajectory_path.read_text(encoding="utf-8")
-    if policy.is_exact:
-        expected = "\n".join(trajectory_lines(fresh)) + "\n"
-        if file_text != expected:
-            violations.append("trajectory file is not the byte-exact replay")
-
-    records = read_trajectory_jsonl(trajectory_path, policy)
-    if len(records) != fresh.n_steps + 1:
-        violations.append(
-            f"{len(records)} records on file, replay produced {fresh.n_steps + 1}"
-        )
-    for t, record in enumerate(records):
-        if t >= len(fresh.states):
+    expected = trajectory_lines(fresh)
+    lines = trajectory_path.read_text(encoding="utf-8").split("\n")
+    for t, (found, want) in enumerate(zip_longest(lines, expected + [""])):
+        if found != want:
+            where = f"step {t}: record" if t < len(expected) else "text after the last record"
+            violations.append(f"{where} differs from replay")
             break
-        if record.step != t:
-            violations.append(f"record {t} is labeled step {record.step}")
-        if record.state.entries != fresh.states[t].entries:
-            violations.append(f"step {t}: state differs from replay")
-        if t < fresh.n_steps:
-            report = fresh.reports[t]
-            if record.influence_lists is not None:
-                if record.influence_lists != report.influence.neighbor_lists():
-                    violations.append(f"step {t}: neighbor lists differ from replay")
-            if record.gamma is not None and record.gamma != contraction_factor(
-                report.influence, policy.is_exact
-            ):
-                violations.append(f"step {t}: contraction factor differs from replay")
 
     violations.extend(check_trajectory(fresh))
 
@@ -455,7 +428,7 @@ def cmd_verify(args) -> int:
         for line in violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_VIOLATION
-    print(f"ok: {len(records)} records verified against replay")
+    print(f"ok: {len(expected)} records verified against replay")
     return EXIT_OK
 
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress
 from operator import add
-from typing import Hashable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 Scalar = Union[int, float, Fraction]
 K = TypeVar("K", bound=Hashable)
@@ -87,19 +87,17 @@ class NumericPolicy:
 
     ``tau_fix`` bounds the max-abs state difference that still counts as a
     fixed point, ``tau_cluster`` the difference that still counts as equal
-    opinions, ``tau_row`` the row-sum slack accepted for row-stochastic
-    matrices.  Exact mode forces all three to zero.
+    opinions.  Exact mode forces both to zero.
     """
 
     mode: str
     tau_fix: Scalar = 0
     tau_cluster: Scalar = 0
-    tau_row: Scalar = 0
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_EXACT, MODE_FLOAT):
             raise ValueError(f"unknown numeric mode {self.mode!r}")
-        for name in ("tau_fix", "tau_cluster", "tau_row"):
+        for name in ("tau_fix", "tau_cluster"):
             value = getattr(self, name)
             if not is_finite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -115,9 +113,8 @@ class NumericPolicy:
         cls,
         tau_fix: float = DEFAULT_TAU_FIX,
         tau_cluster: float = DEFAULT_TAU_CLUSTER,
-        tau_row: float = DEFAULT_TAU_ROW,
     ) -> "NumericPolicy":
-        return cls(MODE_FLOAT, tau_fix, tau_cluster, tau_row)
+        return cls(MODE_FLOAT, tau_fix, tau_cluster)
 
     @property
     def is_exact(self) -> bool:
@@ -175,9 +172,6 @@ class OpinionMatrix:
     @property
     def n_topics(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.entries)
@@ -280,12 +274,11 @@ class RowStochasticMatrix:
     """Square nonnegative matrix with unit row sums.
 
     Row sums are checked at construction: exactly for int/Fraction entries,
-    within ``row_tol`` (default 1e-9) when any entry is a float.  Inputs
+    within ``DEFAULT_TAU_ROW`` when any entry is a float.  Inputs
     that fail are rejected rather than renormalized.
     """
 
     entries: tuple[tuple[Scalar, ...], ...]
-    row_tol: Optional[Scalar] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.entries)
@@ -293,9 +286,7 @@ class RowStochasticMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
-        tol = self.row_tol
-        if tol is None:
-            tol = DEFAULT_TAU_ROW if rows_use_floats(rows) else 0
+        tol = DEFAULT_TAU_ROW if rows_use_floats(rows) else 0
         for row in rows:
             if len(row) != n:
                 raise ValueError("row-stochastic matrix must be square")

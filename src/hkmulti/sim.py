@@ -160,7 +160,8 @@ def batch_run(
     """Run independent jobs on a thread pool, results in job order.
 
     Pool width: ``max_threads`` argument, else the HK_MAX_THREADS
-    environment variable, else the CPU count.
+    environment variable, else the CPU count; never more than the CPU
+    count or the number of jobs.
     """
     if not jobs:
         return ()
@@ -172,10 +173,11 @@ def batch_run(
                 limit = int(env)
             except ValueError:
                 raise ValueError(f"{MAX_THREADS_ENV} must be an integer, got {env!r}")
+    cpus = os.cpu_count() or 1
     if limit is None:
-        limit = os.cpu_count() or 1
+        limit = cpus
     if limit < 1:
         raise ValueError("thread limit must be at least 1")
-    limit = min(limit, len(jobs))
+    limit = min(limit, len(jobs), cpus)
     with ThreadPoolExecutor(max_workers=limit) as pool:
         return tuple(pool.map(lambda job: run(job[0], job[1]), jobs))

@@ -134,7 +134,7 @@ def test_uniform_clusters_may_share_means():
 def test_ave_separation_guard_fires_on_bad_tolerances():
     # an oversized fixed-point tolerance accepts a non-terminal state,
     # which then violates the separation guarantee of the average model
-    sloppy = NumericPolicy("float", tau_fix=0.5, tau_cluster=1e-9, tau_row=1e-9)
+    sloppy = NumericPolicy("float", tau_fix=0.5, tau_cluster=1e-9)
     x = OpinionMatrix(((0.0,), (0.4,)))
     with pytest.raises(PropertyViolation):
         classify_outcome(x, 0.45, sloppy, "ave")

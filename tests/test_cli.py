@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hkmulti import cli
 from hkmulti.cli import MAX_SEEDS, RunManifest, UsageError, _parse_seeds, main
 from hkmulti.serialize import read_json, read_matrix_csv
 from hkmulti import NumericPolicy
@@ -343,10 +344,54 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--run-dir", str(out_dir)]) == 3
     err = capsys.readouterr().err
-    assert "state differs from replay" in err
+    assert "step 0: record differs from replay" in err
 
 
-def test_verify_rejects_unknown_manifest_revision(tmp_path):
+# each tamper edits the JSONL lines in place and returns the step it broke
+def _drop_last_record(lines):
+    del lines[-1]
+    return len(lines)
+
+
+def _bump_topic_range(lines):
+    first = json.loads(lines[0])
+    first["topic_ranges"][1] += 1e-9
+    lines[0] = json.dumps(first, sort_keys=True, separators=(",", ":"))
+    return 0
+
+
+def _drop_key(key):
+    def tamper(lines):
+        first = json.loads(lines[0])
+        del first[key]
+        lines[0] = json.dumps(first, sort_keys=True, separators=(",", ":"))
+        return 0
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_bump_topic_range, _drop_key("gamma"), _drop_key("influence"), _drop_last_record],
+    ids=["topic-range", "no-gamma", "no-influence", "no-last-record"],
+)
+def test_verify_compares_float_records_with_the_replay(tmp_path, capsys, tamper):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
+            "--agents", "6", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    path = out_dir / "trajectory.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) > 2 and "gamma" in json.loads(lines[0])
+    step = tamper(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out_dir)]) == 3
+    assert f"step {step}: record differs from replay" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert (
         main(
@@ -371,9 +416,14 @@ def test_verify_rejects_unknown_manifest_revision(tmp_path):
         == 0
     )
     manifest = read_json(out_dir / "manifest.json")
-    manifest["format_revision"] = 99
-    (out_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["verify", "--run-dir", str(out_dir)]) == 1
+    # revision 1 is the layout before tau_row was dropped
+    old = {**manifest, "format_revision": 1}
+    old["tolerances"] = {**manifest["tolerances"], "tau_row": 0.0}
+    for raw in (old, {**manifest, "format_revision": 99}):
+        (out_dir / "manifest.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: unsupported manifest revision")
 
 
 def test_batch_sweep(tmp_path, monkeypatch):
@@ -546,7 +596,6 @@ def test_manifest_round_trip():
         max_steps=100,
         tau_fix=0.0,
         tau_cluster=0.0,
-        tau_row=0.0,
         init={
             "kind": "box",
             "n_agents": 4,
@@ -561,8 +610,9 @@ def test_manifest_round_trip():
     assert back.epsilon == Fraction(4, 5)
     assert back.config().model == "uniform"
     assert back.initial_state().entries == manifest.initial_state().entries
-    with pytest.raises(ValueError):
-        RunManifest.from_dict({**raw, "format_revision": 2})
+    for revision in (1, 3):
+        with pytest.raises(ValueError, match="revision"):
+            RunManifest.from_dict({**raw, "format_revision": revision})
     bad = dict(raw)
     bad["init"] = {**raw["init"], "generator": "other"}
     with pytest.raises(ValueError):
@@ -571,12 +621,12 @@ def test_manifest_round_trip():
 
 def _manifest_dict(**changes):
     raw = {
-        "format_revision": 1,
+        "format_revision": cli.FORMAT_REVISION,
         "model": "ave",
         "mode": "exact",
         "epsilon": "1",
         "max_steps": 5,
-        "tolerances": {"tau_fix": 0.0, "tau_cluster": 0.0, "tau_row": 0.0},
+        "tolerances": {"tau_fix": 0.0, "tau_cluster": 0.0},
         "init": {"kind": "matrix", "entries": [["0"], ["1/2"]]},
     }
     raw.update(changes)
@@ -620,7 +670,7 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
                 "m.json": json.dumps(
                     _manifest_dict(
                         mode="float",
-                        tolerances={"tau_fix": "1e-9", "tau_cluster": 0, "tau_row": 0},
+                        tolerances={"tau_fix": "1e-9", "tau_cluster": 0},
                     )
                 ),
                 "t.jsonl": "",
@@ -659,6 +709,8 @@ def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    # each manifest case must fail on its own key, not on the revision
+    assert "revision" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -686,7 +738,7 @@ def test_verify_names_the_bad_manifest_key(tmp_path, capsys, raw, key):
 def test_manifest_from_dict_builds_the_policy_once():
     back = RunManifest.from_dict(_manifest_dict(mode="float", epsilon="1/4"))
     assert back.epsilon == 0.25 and isinstance(back.epsilon, float)
-    assert back.policy() == NumericPolicy.floating(0.0, 0.0, 0.0)
+    assert back.policy() == NumericPolicy.floating(0.0, 0.0)
     with pytest.raises(ValueError, match="tau_fix"):
-        tolerances = {"tau_fix": -1.0, "tau_cluster": 0.0, "tau_row": 0.0}
+        tolerances = {"tau_fix": -1.0, "tau_cluster": 0.0}
         RunManifest.from_dict(_manifest_dict(mode="float", tolerances=tolerances))

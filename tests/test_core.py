@@ -186,10 +186,8 @@ def test_row_stochastic_validation():
         RowStochasticMatrix(((Fraction(3, 2), Fraction(-1, 2)), (0, 1)))
     with pytest.raises(ValueError):
         RowStochasticMatrix(((1, 0), (0,)))
-    # float rows get a default tolerance, explicit row_tol overrides
+    # float rows get a fixed tolerance
     RowStochasticMatrix(((0.5 + 1e-12, 0.5), (0.0, 1.0)))
-    with pytest.raises(ValueError):
-        RowStochasticMatrix(((0.5 + 1e-12, 0.5), (0.0, 1.0)), row_tol=0)
 
 
 def test_numeric_policy_modes():
@@ -204,7 +202,6 @@ def test_numeric_policy_modes():
     floating = NumericPolicy.floating()
     assert floating.tau_fix == 1e-12
     assert floating.tau_cluster == 1e-9
-    assert floating.tau_row == 1e-9
 
 
 def test_policy_coercion():

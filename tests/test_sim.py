@@ -148,5 +148,48 @@ def test_batch_run_thread_env(monkeypatch):
         batch_run(jobs)
 
 
+@pytest.mark.parametrize(
+    "requested, env, jobs, cpus, width",
+    [
+        (100000, None, 5, 2, 2),
+        (None, "100000", 5, 3, 3),
+        (None, None, 5, 4, 4),
+        (8, None, 3, 16, 3),
+        (1, None, 5, 4, 1),
+        (None, "2", 5, None, 1),
+    ],
+)
+def test_batch_pool_width_is_capped_at_the_cpu_count(
+    monkeypatch, requested, env, jobs, cpus, width
+):
+    widths = []
+
+    class RecordingPool:
+        """Records the pool width and runs the jobs inline: no thread starts."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("hkmulti.sim.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("hkmulti.sim.os.cpu_count", lambda: cpus)
+    if env is None:
+        monkeypatch.delenv("HK_MAX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HK_MAX_THREADS", env)
+    config = SimulationConfig("ave", 1, 20, EXACT)
+    out = batch_run([(config, OpinionMatrix(((0,), (1,))))] * jobs, requested)
+    assert widths == [width]
+    assert len(out) == jobs and all(t.terminated for t in out)
+
+
 def test_batch_run_empty():
     assert batch_run([]) == ()
