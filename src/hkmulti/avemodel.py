@@ -17,7 +17,6 @@ from .core import (
     check_epsilon,
     disagreement_seminorm,
     distinct,
-    expand_influence,
     neighbor_means,
     row_average,
 )
@@ -25,11 +24,11 @@ from .core import (
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
     # agents with equal means have equal neighbors: test each pair of
-    # distinct means once
+    # distinct means once; the lists share one int per class to keep reports small
     means, labels = distinct(values)
-    return expand_influence(
-        labels, [[d for d, b in enumerate(means) if abs(a - b) <= epsilon] for a in means]
-    )
+    classes = list(range(len(means)))
+    near = [[d for d, b in zip(classes, means) if abs(a - b) <= epsilon] for a in means]
+    return InfluenceMatrix(labels, near)
 
 
 def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:

@@ -409,13 +409,14 @@ def cmd_verify(args) -> int:
 
     manifest = RunManifest.from_dict(read_json(manifest_path))
     fresh = run(manifest.config(), manifest.initial_state())
-    # parsed only to reject malformed input with exit 1; the replay's
-    # bytes are the reference for every field in both numeric modes
-    read_trajectory_jsonl(trajectory_path, manifest.policy())
+    # read once; parsed only to reject malformed input with exit 1, as
+    # the replay's bytes are the reference for every field in both modes
+    text = trajectory_path.read_text(encoding="utf-8")
+    read_trajectory_jsonl(trajectory_path, manifest.policy(), text)
 
     violations = []
     expected = trajectory_lines(fresh)
-    lines = trajectory_path.read_text(encoding="utf-8").split("\n")
+    lines = text.split("\n")
     for t, (found, want) in enumerate(zip_longest(lines, expected + [""])):
         if found != want:
             where = f"step {t}: record" if t < len(expected) else "text after the last record"

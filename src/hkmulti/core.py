@@ -16,6 +16,11 @@ computed once: each part of a step runs once per distinct row, mean or
 neighbor set (:func:`distinct`) and agents with equal values share the
 result.  Values are grouped by ``==``, so ``0.0`` and ``-0.0`` form one
 class; every difference and comparison the rules take treats them alike.
+:class:`InfluenceMatrix` keeps exactly this structure, the class of each
+agent and the neighbor classes of each class, and every consumer
+(:func:`neighbor_means`, :func:`contraction_factor`, the JSONL neighbor
+lists) reads the classes directly.  The dense N x N matrix is a view,
+built on request for :func:`row_normalize` and for outside readers.
 :class:`OpinionMatrix` therefore holds floats only or exact values
 only: a float equal to a Fraction would share its class but not its
 arithmetic.
@@ -24,11 +29,12 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, repeat
 from operator import add
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
@@ -45,6 +51,9 @@ MODEL_KINDS = (MODEL_AVE, MODEL_UNIFORM)
 DEFAULT_TAU_FIX = 1e-12
 DEFAULT_TAU_CLUSTER = 1e-9
 DEFAULT_TAU_ROW = 1e-9
+# Python's default limit on int-string digits; four digits long
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 class PropertyViolation(AssertionError):
@@ -126,14 +135,20 @@ class NumericPolicy:
         Exact mode maps floats to their exact binary value and parses
         strings ("0.25", "1/3") exactly; float mode rounds to double.
         Values that have no such form ("1/0", None, or "1e400" in float
-        mode) raise ValueError.
+        mode) raise ValueError, as do strings with a decimal exponent
+        beyond ``MAX_DECIMAL_EXPONENT``: ``Fraction`` would build
+        ``10**|exponent|`` for them.
         """
         try:
-            if self.is_exact:
-                return Fraction(value)
             if isinstance(value, str):
-                return float(Fraction(value))
-            return float(value)
+                found = _EXPONENT.search(value)
+                digits = found[1].replace("_", "").lstrip("0") if found else ""
+                if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                    raise ValueError(
+                        f"{value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
+                    )
+                value = Fraction(value)
+            return Fraction(value) if self.is_exact else float(value)
         except (OverflowError, TypeError, ZeroDivisionError):
             raise ValueError(f"{value!r} is not a representable number") from None
 
@@ -197,63 +212,69 @@ class AverageVector:
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    """Binary adjacency of the interaction graph: reflexive and symmetric."""
+    """Interaction graph of agents, held as classes of agents with equal neighbors.
 
-    entries: tuple[tuple[int, ...], ...]
+    ``labels[i]`` is agent i's class, numbered 0..C-1; ``class_neighbors[c]``
+    lists, sorted, the classes class c listens to, c itself included.
+    Construction checks reflexivity, symmetry and the numbering in
+    O(N + class edges); :attr:`entries` is the dense view.
+    """
+
+    labels: tuple[int, ...]
+    class_neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = len(rows)
-        if n == 0:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "class_neighbors", tuple(map(tuple, self.class_neighbors)))
+        links = self.class_neighbors
+        if not self.labels:
             raise ValueError("empty influence matrix")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("influence matrix must be square")
-            if row.count(0) + row.count(1) != n:
-                raise ValueError("influence entries must be 0 or 1")
-            if row[i] != 1:
+        if set(self.labels) != set(range(len(links))):
+            raise ValueError("labels must number the classes 0..C-1, each with an agent")
+        back: list[list[int]] = [[] for _ in links]
+        for c, nbrs in enumerate(links):
+            if c not in nbrs:
                 raise ValueError("every agent must be its own neighbor")
-        if tuple(zip(*rows)) != rows:
+            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+                raise ValueError("neighbor classes must be sorted and distinct")
+            if nbrs[0] < 0 or nbrs[-1] >= len(links):
+                raise ValueError("neighbor classes must be in range")
+            for d in nbrs:
+                back[d].append(c)
+        # the transpose, built in ascending class order, is sorted too
+        if any(tuple(b) != nbrs for b, nbrs in zip(back, links)):
             raise ValueError("influence matrix must be symmetric")
 
     @property
     def n_agents(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(compress(range(len(self.entries)), self.entries[i]))
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense N x N 0/1 adjacency, built anew on each read; a class shares one row."""
+        rows = []
+        for nbrs in self.class_neighbors:
+            linked = dict.fromkeys(nbrs, 1)
+            rows.append(tuple(map(linked.get, self.labels, repeat(0))))
+        return tuple(map(rows.__getitem__, self.labels))
+
+    def class_agents(self, first: int = 0) -> list[list[int]]:
+        """For each class, its neighbor agents in ascending order, numbered from ``first``."""
+        members: list[list[int]] = [[] for _ in self.class_neighbors]
+        for k, c in enumerate(self.labels, first):
+            members[c].append(k)
+        return [
+            sorted(chain.from_iterable(map(members.__getitem__, nbrs)))
+            for nbrs in self.class_neighbors
+        ]
 
     def neighbor_lists(self, first: int = 0) -> tuple[tuple[int, ...], ...]:
         """Every agent's neighbors, numbered from ``first``.
 
-        Built once per distinct row; agents with equal rows share one tuple.
+        Built once per class; agents of one class share one tuple.
         """
-        rows, labels = distinct(self.entries)
-        agents = range(first, first + len(self.entries))
-        lists = [tuple(compress(agents, row)) for row in rows]
-        return tuple(map(lists.__getitem__, labels))
-
-    def degree(self, i: int) -> int:
-        return sum(self.entries[i])
-
-
-def expand_influence(
-    labels: Sequence[int], neighbors: Sequence[Iterable[int]]
-) -> InfluenceMatrix:
-    """Dense influence matrix of agents from the neighbors of their classes.
-
-    ``labels[i]`` is agent i's class and ``neighbors[c]`` lists the
-    classes that class c neighbors.  All agents of one class share one
-    row tuple.
-    """
-    rows = []
-    for nbrs in neighbors:
-        linked = [0] * len(neighbors)
-        for d in nbrs:
-            linked[d] = 1
-        rows.append(tuple(map(linked.__getitem__, labels)))
-    return InfluenceMatrix(tuple(map(rows.__getitem__, labels)))
+        lists = list(map(tuple, self.class_agents(first)))
+        return tuple(map(lists.__getitem__, self.labels))
 
 
 @dataclass(frozen=True)
@@ -348,19 +369,16 @@ def induced_disagreement_seminorm(
 
 
 def row_normalize(phi: InfluenceMatrix, exact: bool = True) -> RowStochasticMatrix:
-    """Divide each row of a binary influence matrix by its degree.
+    """Divide each row of the dense influence matrix by its degree.
 
-    Reflexivity guarantees positive degrees; an all-zero row signals a
-    broken invariant upstream and raises.
+    One weighted row per class; reflexivity keeps every degree positive.
     """
-    rows = []
-    for i in range(phi.n_agents):
-        deg = phi.degree(i)
-        if deg == 0:
-            raise ValueError(f"agent {i} has no neighbors")
-        weight = Fraction(1, deg) if exact else 1.0 / deg
-        rows.append(tuple(weight * v for v in phi.entries[i]))
-    return RowStochasticMatrix(tuple(rows))
+    weighted: dict[int, tuple[Scalar, ...]] = {}
+    for c, row in zip(phi.labels, phi.entries):
+        if c not in weighted:
+            weight = Fraction(1, sum(row)) if exact else 1.0 / sum(row)
+            weighted[c] = tuple(weight * v for v in row)
+    return RowStochasticMatrix(tuple(map(weighted.__getitem__, phi.labels)))
 
 
 def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
@@ -371,18 +389,17 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     :func:`induced_disagreement_seminorm` (Seneta's ergodicity
     coefficient) needs only neighbor-set overlaps.  Float overlaps add
     the weight term by term from 0.0, as the dense sum does, so both
-    forms agree bit for bit.  Only distinct rows are paired; a row that
-    repeats also overlaps itself fully.  A single agent gives 0.
+    forms agree bit for bit.  Only distinct neighbor sets are paired; a
+    set shared by two agents also overlaps itself.  One agent gives 0.
     """
-    rows, labels = distinct(phi.entries)
-    # neighbor sets as int bitsets; a popcount is a degree or an overlap
-    sets = [int("".join(map(str, row)), 2) for row in rows]
+    # neighbor sets as agent bitsets; a popcount is a degree or an overlap
+    sets, set_of = distinct(sum(1 << k for k in agents) for agents in phi.class_agents())
     sized = [(s, s.bit_count()) for s in sets]
     keys = {
         ((a & b).bit_count(), max(da, db))
         for (a, da), (b, db) in combinations(sized, 2)
     }
-    repeats = Counter(labels)
+    repeats = Counter(map(set_of.__getitem__, phi.labels))
     keys.update((d, d) for c, (_, d) in enumerate(sized) if repeats[c] > 1)
     if not keys:
         return 0
@@ -413,21 +430,18 @@ def global_range(x: OpinionMatrix) -> Scalar:
 def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatrix:
     """Replace each row by the mean of its neighbors' rows.
 
-    One mean per distinct influence row, shared by the agents that have
-    it.  Each column sums in ascending agent order, then divides by the
-    degree.
+    One mean per class, shared by the agents of that class.  Each column
+    sums in ascending agent order, then divides by the degree.
     """
     if influence.n_agents != x.n_agents:
         raise ValueError("influence matrix does not match agent count")
     entries = x.entries
-    agents = range(x.n_agents)
-    rows, labels = distinct(influence.entries)
     means = []
-    for row in rows:
-        nbrs = [entries[k] for k in compress(agents, row)]
+    for agents in influence.class_agents():
+        nbrs = list(map(entries.__getitem__, agents))
         deg = len(nbrs)
         means.append(tuple(_divide(left_sum(col), deg) for col in zip(*nbrs)))
-    return OpinionMatrix(tuple(map(means.__getitem__, labels)))
+    return OpinionMatrix(tuple(map(means.__getitem__, influence.labels)))
 
 
 def matrix_apply(a: RowStochasticMatrix, x: OpinionMatrix) -> OpinionMatrix:

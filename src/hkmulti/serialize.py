@@ -131,10 +131,17 @@ def json_rows(value, what: str) -> list:
     return value
 
 
-def read_trajectory_jsonl(path: PathLike, policy: NumericPolicy) -> list[StepRecord]:
-    """Parse a trajectory file; neighbor lists come back 0-based."""
+def read_trajectory_jsonl(
+    path: PathLike, policy: NumericPolicy, text: Optional[str] = None
+) -> list[StepRecord]:
+    """Parse a trajectory file; neighbor lists come back 0-based.
+
+    ``text``, when given, is the file's content already read by the caller.
+    """
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

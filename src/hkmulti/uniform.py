@@ -18,7 +18,6 @@ from .core import (
     StepReport,
     check_epsilon,
     distinct,
-    expand_influence,
     neighbor_means,
 )
 
@@ -47,7 +46,7 @@ def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
             if max(map(abs, map(sub, row_i, row_k))) <= epsilon:
                 nbrs[i].append(k)
                 nbrs[k].append(i)
-    return expand_influence(labels, nbrs)
+    return InfluenceMatrix(labels, list(map(sorted, nbrs)))
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:

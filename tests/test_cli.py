@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +348,32 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "step 0: record differs from replay" in err
 
 
+def test_verify_reads_the_trajectory_once(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
+            "--agents", "6", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    path = out_dir / "trajectory.jsonl"
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self == path:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    assert main(["verify", "--run-dir", str(out_dir)]) == 0
+    assert len(reads) == 1
+    # the one copy serves both the parse (exit 1) and the compare (exit 3)
+    lines = read_text(path).splitlines()
+    path.write_text("\n".join(lines[:-1] + ["{"]) + "\n")
+    assert main(["verify", "--run-dir", str(out_dir)]) == 1
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["verify", "--run-dir", str(out_dir)]) == 3
+    assert len(reads) == 3
+
+
 # each tamper edits the JSONL lines in place and returns the step it broke
 def _drop_last_record(lines):
     del lines[-1]
@@ -644,7 +671,19 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
     [
         pytest.param({"s.csv": "1e400,0\n"}, CLASSIFY_S, id="csv-overflow"),
         pytest.param({"s.csv": "1/0,1\n"}, CLASSIFY_S, id="csv-zero-division"),
+        # Fraction would build 10**30000000 for these: far past the time bound
+        pytest.param({"s.csv": "1e-30000000\n"}, CLASSIFY_S, id="csv-huge-exponent"),
+        pytest.param(
+            {"s.csv": "1e-30000000\n"}, CLASSIFY_S + ["--mode", "exact"],
+            id="csv-huge-exponent-exact",
+        ),
         pytest.param({}, RUN_EPS + ["1e400"], id="flag-overflow"),
+        pytest.param({}, RUN_EPS + ["1e-30000000"], id="flag-huge-exponent"),
+        pytest.param(
+            {"m.json": json.dumps(_manifest_dict(epsilon="1e-30000000")), "t.jsonl": ""},
+            VERIFY_M,
+            id="manifest-huge-exponent",
+        ),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict(epsilon="1/0")), "t.jsonl": ""},
             VERIFY_M,
@@ -704,7 +743,8 @@ def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv)
         write_lines(tmp_path / name, text)
     argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "hkmulti.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "hkmulti.cli", *argv], capture_output=True, text=True,
+        timeout=10,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkmulti import (
     AverageVector,
@@ -12,11 +14,13 @@ from hkmulti import (
     RowStochasticMatrix,
     SimulationConfig,
     StepReport,
+    ave_neighbors,
     ave_step,
     contraction_factor,
     disagreement_seminorm,
     global_range,
     induced_disagreement_seminorm,
+    linf_neighbors,
     row_average,
     row_normalize,
     run,
@@ -73,7 +77,7 @@ def test_induced_seminorm_rejects_bad_rows():
 
 
 def test_row_normalize_exact_and_float():
-    phi = InfluenceMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
     a = row_normalize(phi)
     assert a.entries[0] == (Fraction(1, 2), Fraction(1, 2), 0)
     assert a.entries[2] == (0, 0, 1)
@@ -83,16 +87,16 @@ def test_row_normalize_exact_and_float():
 
 
 def test_contraction_factor_examples():
-    single = InfluenceMatrix(((1,),))
+    single = InfluenceMatrix((0,), ((0,),))
     assert repr(contraction_factor(single, exact=True)) == "0"
     assert repr(contraction_factor(single, exact=False)) == "0"
-    full = InfluenceMatrix(((1, 1), (1, 1)))
+    full = InfluenceMatrix((0, 0), ((0,),))
     assert contraction_factor(full, exact=True) == 0
     assert contraction_factor(full, exact=False) == 0.0
-    block = InfluenceMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    block = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
     assert contraction_factor(block, exact=True) == 1
     # the end agents share only the middle one, with weight 1/2
-    chain = InfluenceMatrix(((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+    chain = InfluenceMatrix((0, 1, 2), ((0, 1), (0, 1, 2), (1, 2)))
     assert contraction_factor(chain, exact=True) == Fraction(1, 2)
     assert isinstance(contraction_factor(chain, exact=False), float)
 
@@ -165,17 +169,26 @@ def test_average_vector_validation():
 
 
 def test_influence_matrix_validation():
-    with pytest.raises(ValueError):
-        InfluenceMatrix(((0,),))
-    with pytest.raises(ValueError):
-        InfluenceMatrix(((1, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        InfluenceMatrix(((1, 2), (2, 1)))
-    with pytest.raises(ValueError):
-        InfluenceMatrix(((1, 0, 1),))
-    phi = InfluenceMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
-    assert phi.neighbors(0) == (0, 1)
-    assert phi.degree(2) == 1
+    with pytest.raises(ValueError, match="empty"):
+        InfluenceMatrix((), ())
+    with pytest.raises(ValueError, match="own neighbor"):
+        InfluenceMatrix((0, 1), ((1,), (0,)))
+    with pytest.raises(ValueError, match="symmetric"):
+        InfluenceMatrix((0, 1), ((0, 1), (1,)))
+    with pytest.raises(ValueError, match="in range"):
+        InfluenceMatrix((0,), ((0, 1),))
+    with pytest.raises(ValueError, match="sorted"):
+        InfluenceMatrix((0, 1), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="each with an agent"):
+        InfluenceMatrix((0, 0), ((0,), (1,)))
+    with pytest.raises(ValueError, match="each with an agent"):
+        InfluenceMatrix((0, 2), ((0,), (1,)))
+    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
+    assert phi.n_agents == 3
+    assert phi.entries == ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+    assert phi.neighbor_lists() == ((0, 1), (0, 1), (2,))
+    assert phi.neighbor_lists(1) == ((1, 2), (1, 2), (3,))
+    assert phi.class_agents() == [[0, 1], [2]]
 
 
 def test_row_stochastic_validation():
@@ -214,6 +227,11 @@ def test_policy_coercion():
     assert isinstance(floating.coerce(1), float)
     rows = exact.coerce_rows([[0.25, "1/3"]])
     assert rows == ((Fraction(1, 4), Fraction(1, 3)),)
+    # exponents up to the bound keep their exact value, leading zeros too
+    assert exact.coerce("1e-4300") == Fraction(1, 10**4300)
+    assert exact.coerce("2.5E+4300") == 25 * 10**4299
+    assert exact.coerce("1e-0000000005") == Fraction(1, 10**5)
+    assert floating.coerce("1e-4300") == 0.0
 
 
 @pytest.mark.parametrize(
@@ -226,16 +244,21 @@ def test_policy_coercion():
         (NumericPolicy.exact(), "1/0"),
         (NumericPolicy.exact(), float("inf")),
         (NumericPolicy.exact(), None),
+        (NumericPolicy.floating(), "1e-30000000"),
+        (NumericPolicy.exact(), "1e-30000000"),
+        (NumericPolicy.exact(), "1E+30000000"),
     ],
 )
 def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):
+    start = time.perf_counter()
     with pytest.raises(ValueError):
         policy.coerce(value)
+    assert time.perf_counter() - start < 1
 
 
 def test_matrix_helpers():
     x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
-    phi = InfluenceMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
     stepped = neighbor_means(x, phi)
     assert stepped.entries == (
         (Fraction(1, 2), Fraction(1, 2)),
@@ -252,7 +275,7 @@ def test_matrix_helpers():
 
 def test_neighbor_means_rejects_size_mismatch():
     x = OpinionMatrix(((0, 0), (1, 1)))
-    phi = InfluenceMatrix(((1,),))
+    phi = InfluenceMatrix((0,), ((0,),))
     with pytest.raises(ValueError):
         neighbor_means(x, phi)
 
@@ -265,3 +288,67 @@ def test_is_finite_helper():
     assert not is_finite(float("inf"))
     assert not is_finite(float("nan"))
     assert math.isfinite(float(Fraction(1, 3)))
+
+
+# the neighbor structure against an all-pairs adjacency written from the
+# oracle's predicates: quarters tie at epsilon, -0.0 meets 0.0, and rows
+# drawn from a small pool repeat
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+float_opinions = st.one_of(quarters, st.sampled_from([0.0, -0.0]), st.floats(-2, 2))
+exact_opinions = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def neighbor_cases(draw):
+    exact = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    opinions = exact_opinions if exact else float_opinions
+    row = st.tuples(*[opinions] * m)
+    pool = draw(st.lists(row, min_size=1, max_size=40))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    epsilon = draw(st.integers(1, 16)) / 4
+    return OpinionMatrix(tuple(rows)), Fraction(epsilon) if exact else epsilon
+
+
+def _oracle_adjacency(x, epsilon, model):
+    rows = x.entries
+    if model == "ave":
+        means = []
+        for row in rows:
+            total = 0
+            for v in row:
+                total += v
+            means.append(total / Fraction(len(row)))
+        return [[int(abs(a - b) <= epsilon) for b in means] for a in means]
+    return [[int(max(abs(p - q) for p, q in zip(a, b)) <= epsilon) for b in rows] for a in rows]
+
+
+# at epsilon 0.5 the rows 1, 2 and 5 differ, the means 0.125 and 0.375
+# differ, and yet they share the neighbors {1, 2, 4, 5} under both rules;
+# row 5 is exactly epsilon from row 1, row 4 is row 1 with -0.0
+TWINS = OpinionMatrix(
+    ((0.0, 0.25), (0.25, 0.0), (0.75, 2.0), (-0.0, 0.25), (0.5, 0.25))
+)
+
+
+def test_distinct_classes_can_share_neighbors():
+    for rule in (ave_neighbors, linf_neighbors):
+        phi = rule(TWINS, 0.5)
+        assert phi.labels[0] == phi.labels[3] != phi.labels[4]
+        assert phi.neighbor_lists(1)[0] == phi.neighbor_lists(1)[4] == (1, 2, 4, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(neighbor_cases())
+@example((TWINS, 0.5))
+@example((TWINS, 2.0))
+def test_neighbor_classes_equal_all_pairs(case):
+    x, epsilon = case
+    for model, rule in (("ave", ave_neighbors), ("uniform", linf_neighbors)):
+        adjacency = _oracle_adjacency(x, epsilon, model)
+        phi = rule(x, epsilon)
+        assert phi.entries == tuple(map(tuple, adjacency))
+        assert phi.neighbor_lists(1) == tuple(
+            tuple(k for k, linked in enumerate(row, 1) if linked) for row in adjacency
+        )
