@@ -23,11 +23,10 @@ from hkmulti import (
     OpinionMatrix,
     ave_step,
     contraction_factor,
-    induced_disagreement_seminorm,
     naive_model_step,
-    row_normalize,
     uniform_step,
 )
+from hkmulti.oracle import induced_disagreement_seminorm, row_normalize
 
 STEPS = {"ave": ave_step, "uniform": uniform_step}
 

@@ -38,17 +38,22 @@ from .core import (
     NumericPolicy,
     OpinionMatrix,
     PropertyViolation,
-    RowStochasticMatrix,
     StepReport,
     contraction_factor,
     disagreement_seminorm,
     global_range,
-    induced_disagreement_seminorm,
     row_average,
-    row_normalize,
     topic_range,
 )
-from .oracle import induced_seminorm_bruteforce, naive_model_step, scalar_hk_step
+from .oracle import (
+    RowStochasticMatrix,
+    induced_disagreement_seminorm,
+    induced_seminorm_bruteforce,
+    matrix_apply,
+    naive_model_step,
+    row_normalize,
+    scalar_hk_step,
+)
 from .properties import ALL_CHECKS, check_trajectory
 from .serialize import partition_lists
 from .sim import (
@@ -100,6 +105,7 @@ __all__ = [
     "induced_seminorm_bruteforce",
     "is_epsilon_chain",
     "linf_neighbors",
+    "matrix_apply",
     "max_average_gap",
     "naive_model_step",
     "one_step_preservation_hypothesis",

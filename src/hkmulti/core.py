@@ -19,8 +19,9 @@ class; every difference and comparison the rules take treats them alike.
 :class:`InfluenceMatrix` keeps exactly this structure, the class of each
 agent and the neighbor classes of each class, and every consumer
 (:func:`neighbor_means`, :func:`contraction_factor`, the JSONL neighbor
-lists) reads the classes directly.  The dense N x N matrix is a view,
-built on request for :func:`row_normalize` and for outside readers.
+lists, the ``averaging-matrix`` check) reads the classes directly.  The
+dense N x N matrix is a view for outside readers; the dense averaging
+matrix and its seminorm are references in :mod:`hkmulti.oracle`.
 :class:`OpinionMatrix` therefore holds floats only or exact values
 only: a float equal to a Fraction would share its class but not its
 arithmetic.
@@ -50,7 +51,6 @@ MODEL_KINDS = (MODEL_AVE, MODEL_UNIFORM)
 
 DEFAULT_TAU_FIX = 1e-12
 DEFAULT_TAU_CLUSTER = 1e-9
-DEFAULT_TAU_ROW = 1e-9
 # Python's default limit on int-string digits; four digits long
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
@@ -84,10 +84,6 @@ def distinct(values: Iterable[K]) -> tuple[list[K], list[int]]:
     index: dict[K, int] = {}
     labels = [index.setdefault(v, len(index)) for v in values]
     return list(index), labels
-
-
-def rows_use_floats(rows: Iterable[Iterable[Scalar]]) -> bool:
-    return any(isinstance(v, float) for row in rows for v in row)
 
 
 @dataclass(frozen=True)
@@ -290,37 +286,6 @@ class StepReport:
     influence: InfluenceMatrix
 
 
-@dataclass(frozen=True)
-class RowStochasticMatrix:
-    """Square nonnegative matrix with unit row sums.
-
-    Row sums are checked at construction: exactly for int/Fraction entries,
-    within ``DEFAULT_TAU_ROW`` when any entry is a float.  Inputs
-    that fail are rejected rather than renormalized.
-    """
-
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("empty matrix")
-        tol = DEFAULT_TAU_ROW if rows_use_floats(rows) else 0
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("row-stochastic matrix must be square")
-            if any(not is_finite(v) or v < 0 for v in row):
-                raise ValueError("entries must be finite and nonnegative")
-            if abs(sum(row) - 1) > tol:
-                raise ValueError(f"row sum {sum(row)} outside tolerance {tol}")
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.entries)
-
-
 def _divide(total: Scalar, count: int) -> Scalar:
     # a float divided by the int rounds exactly as dividing by
     # Fraction(count) does; exact totals divide by a Fraction so ints stay exact
@@ -344,52 +309,16 @@ def disagreement_seminorm(values: Sequence[Scalar]) -> Scalar:
     return max(values) - min(values)
 
 
-def induced_disagreement_seminorm(
-    a: Union[RowStochasticMatrix, Sequence[Sequence[Scalar]]],
-) -> Scalar:
-    """Disagreement seminorm induced on a row-stochastic matrix.
-
-    Computed by the closed form 1 - min over row pairs of the overlap
-    sum_k min(A_ik, A_jk).  Lies in [0, 1] and equals 0 iff all rows
-    coincide.  Non-row-stochastic input is rejected.
-    """
-    if not isinstance(a, RowStochasticMatrix):
-        a = RowStochasticMatrix(tuple(tuple(row) for row in a))
-    rows = a.entries
-    n = len(rows)
-    least = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            overlap = left_sum(map(min, rows[i], rows[j]))
-            if least is None or overlap < least:
-                least = overlap
-    if least is None:
-        return 0
-    return 1 - least
-
-
-def row_normalize(phi: InfluenceMatrix, exact: bool = True) -> RowStochasticMatrix:
-    """Divide each row of the dense influence matrix by its degree.
-
-    One weighted row per class; reflexivity keeps every degree positive.
-    """
-    weighted: dict[int, tuple[Scalar, ...]] = {}
-    for c, row in zip(phi.labels, phi.entries):
-        if c not in weighted:
-            weight = Fraction(1, sum(row)) if exact else 1.0 / sum(row)
-            weighted[c] = tuple(weight * v for v in row)
-    return RowStochasticMatrix(tuple(map(weighted.__getitem__, phi.labels)))
-
-
 def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
-    """Induced disagreement seminorm of ``row_normalize(phi, exact)``.
+    """Induced disagreement seminorm of the averaging matrix of ``phi``.
 
-    Rows i and j of that matrix share |N_i & N_j| entries, each of weight
-    1/max(d_i, d_j), so the closed form of
-    :func:`induced_disagreement_seminorm` (Seneta's ergodicity
-    coefficient) needs only neighbor-set overlaps.  Float overlaps add
-    the weight term by term from 0.0, as the dense sum does, so both
-    forms agree bit for bit.  Only distinct neighbor sets are paired; a
+    That matrix (:func:`hkmulti.oracle.row_normalize`) divides each row
+    of ``phi`` by its degree.  Rows i and j of it share |N_i & N_j|
+    entries, each of weight 1/max(d_i, d_j), so the closed form of the
+    dense reference :func:`hkmulti.oracle.induced_disagreement_seminorm`
+    (Seneta's ergodicity coefficient) needs only neighbor-set overlaps.
+    Float overlaps add the weight term by term from 0.0, as the dense
+    sum does, so both forms agree bit for bit.  Only distinct neighbor sets are paired; a
     set shared by two agents also overlaps itself.  One agent gives 0.
     """
     # neighbor sets as agent bitsets; a popcount is a degree or an overlap
@@ -442,22 +371,6 @@ def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatri
         deg = len(nbrs)
         means.append(tuple(_divide(left_sum(col), deg) for col in zip(*nbrs)))
     return OpinionMatrix(tuple(map(means.__getitem__, influence.labels)))
-
-
-def matrix_apply(a: RowStochasticMatrix, x: OpinionMatrix) -> OpinionMatrix:
-    """Matrix product A @ X (row-wise convex combinations)."""
-    if a.n_agents != x.n_agents:
-        raise ValueError("matrix sizes do not match")
-    rows = []
-    for i in range(x.n_agents):
-        arow = a.entries[i]
-        rows.append(
-            tuple(
-                sum(arow[k] * x.entries[k][j] for k in range(x.n_agents))
-                for j in range(x.n_topics)
-            )
-        )
-    return OpinionMatrix(tuple(rows))
 
 
 def matrices_close(x: OpinionMatrix, y: OpinionMatrix, tol: Scalar) -> bool:

@@ -14,6 +14,7 @@ meaningful in exact arithmetic skip float trajectories.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .analysis import (
@@ -32,9 +33,7 @@ from .core import (
     contraction_factor,
     disagreement_seminorm,
     matrices_close,
-    matrix_apply,
     row_average,
-    row_normalize,
 )
 from .oracle import scalar_hk_step
 from .sim import Trajectory
@@ -68,15 +67,23 @@ def check_influence(traj: Trajectory) -> list[str]:
 def check_averaging_step(traj: Trajectory) -> list[str]:
     """Each step applies the degree-normalized influence matrix to the state.
 
-    The product sums weighted rows where the step divides a sum, so float
-    results differ by rounding.
+    Row i of that matrix puts weight 1/deg on each neighbor of i, so the
+    product is taken over the neighbor lists, once per class of agents
+    with equal neighbors.  It sums weighted rows where the step divides a
+    sum, so float results differ by rounding.
     """
     exact = traj.config.policy.is_exact
     out = []
     for t, report in enumerate(traj.reports):
         state = traj.states[t]
-        mixed = matrix_apply(row_normalize(report.influence, exact), state)
-        if not matrices_close(mixed, traj.states[t + 1], _scaled_slack(traj, state)):
+        rows = state.entries
+        mixed = []
+        for agents in report.influence.class_agents():
+            weight = Fraction(1, len(agents)) if exact else 1.0 / len(agents)
+            nbrs = [rows[k] for k in agents]
+            mixed.append(tuple(sum(weight * v for v in col) for col in zip(*nbrs)))
+        applied = OpinionMatrix(tuple(map(mixed.__getitem__, report.influence.labels)))
+        if not matrices_close(applied, traj.states[t + 1], _scaled_slack(traj, state)):
             out.append(f"step {t}: next state is not the averaging matrix applied")
     return out
 
@@ -144,10 +151,9 @@ def check_average_order(traj: Trajectory) -> list[str]:
     if traj.config.model != MODEL_AVE:
         return []
     slack = _slack(traj)
+    means = [row_average(s).values for s in traj.states]
     out = []
-    for t in range(traj.n_steps):
-        before = row_average(traj.states[t]).values
-        after = row_average(traj.states[t + 1]).values
+    for t, (before, after) in enumerate(zip(means, means[1:])):
         order = sorted(range(len(before)), key=lambda i: (before[i], i))
         prev = None
         for i in order:
@@ -164,10 +170,10 @@ def check_average_reduction(traj: Trajectory) -> list[str]:
         return []
     exact = traj.config.policy.is_exact
     tol = 0 if exact else FLOAT_REDUCTION_TOL
+    means = [row_average(s).values for s in traj.states]
     out = []
-    for t in range(traj.n_steps):
-        expected = scalar_hk_step(row_average(traj.states[t]).values, traj.config.epsilon)
-        got = row_average(traj.states[t + 1]).values
+    for t, (before, got) in enumerate(zip(means, means[1:])):
+        expected = scalar_hk_step(before, traj.config.epsilon)
         if any(abs(p - q) > tol for p, q in zip(expected, got)):
             out.append(f"step {t}: means do not follow the scalar dynamics")
     return out

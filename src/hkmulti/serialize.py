@@ -68,6 +68,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _load(text: str, what: str):
+    """``json.loads``, with input nested past the recursion limit a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def trajectory_lines(traj: Trajectory) -> list[str]:
     """JSONL records: one per step with diagnostics, then the final state.
 
@@ -145,8 +153,8 @@ def read_trajectory_jsonl(
         line = line.strip()
         if not line:
             continue
-        raw = json.loads(line)
         where = f"trajectory record {len(records)}"
+        raw = _load(line, where)
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be a JSON object")
         influence = None
@@ -217,4 +225,4 @@ def write_json(path: PathLike, obj) -> None:
 
 
 def read_json(path: PathLike):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _load(Path(path).read_text(encoding="utf-8"), str(path))

@@ -16,7 +16,6 @@ import pytest
 
 from hkmulti import (
     NumericPolicy,
-    RowStochasticMatrix,
     SimulationConfig,
     ave_step,
     classify_outcome,
@@ -24,7 +23,6 @@ from hkmulti import (
     contraction_factor,
     disagreement_seminorm,
     globally_ordered,
-    induced_disagreement_seminorm,
     induced_seminorm_bruteforce,
     max_average_gap,
     naive_model_step,
@@ -38,6 +36,7 @@ from hkmulti import (
     scalar_hk_step,
     uniform_step,
 )
+from hkmulti.oracle import RowStochasticMatrix, induced_disagreement_seminorm
 from hkmulti.analysis import OUTCOME_CONSENSUS, Partition
 from hkmulti.cli import main
 from hkmulti.serialize import trajectory_lines

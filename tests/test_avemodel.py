@@ -12,9 +12,9 @@ from hkmulti import (
     is_epsilon_chain,
     max_average_gap,
     row_average,
-    row_normalize,
     topic_range,
 )
+from hkmulti.oracle import row_normalize
 
 
 def test_ave_neighbors_example():

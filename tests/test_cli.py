@@ -662,6 +662,7 @@ def _manifest_dict(**changes):
 
 CLASSIFY_S = ["classify", "--model", "ave", "--epsilon", "1", "--state", "s.csv"]
 VERIFY_M = ["verify", "--manifest", "m.json", "--trajectory", "t.jsonl"]
+NESTED = "[" * 200000
 RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", "1",
            "--out-dir", "out", "--epsilon"]
 
@@ -735,6 +736,18 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
             {"t.jsonl": '{"state":5,"step":0}\n'},
             ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
             id="jsonl-state-int",
+        ),
+        # json.loads raises RecursionError on input nested this deep
+        pytest.param({"m.json": NESTED, "t.jsonl": ""}, VERIFY_M, id="manifest-nested"),
+        pytest.param(
+            {"m.json": json.dumps(_manifest_dict()), "t.jsonl": NESTED + "\n"},
+            VERIFY_M,
+            id="jsonl-nested",
+        ),
+        pytest.param(
+            {"t.jsonl": NESTED + "\n"},
+            ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            id="jsonl-nested-plotdata",
         ),
     ],
 )

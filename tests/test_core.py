@@ -11,7 +11,6 @@ from hkmulti import (
     InfluenceMatrix,
     NumericPolicy,
     OpinionMatrix,
-    RowStochasticMatrix,
     SimulationConfig,
     StepReport,
     ave_neighbors,
@@ -19,16 +18,20 @@ from hkmulti import (
     contraction_factor,
     disagreement_seminorm,
     global_range,
-    induced_disagreement_seminorm,
     linf_neighbors,
     row_average,
-    row_normalize,
     run,
     sample_initial,
     topic_range,
     uniform_step,
 )
-from hkmulti.core import matrices_close, neighbor_means, rows_use_floats
+from hkmulti.core import matrices_close, neighbor_means
+from hkmulti.oracle import (
+    RowStochasticMatrix,
+    induced_disagreement_seminorm,
+    row_normalize,
+    rows_use_floats,
+)
 
 
 def test_row_average_examples():

@@ -8,13 +8,12 @@ from hkmulti import (
     OpinionMatrix,
     ave_step,
     contraction_factor,
-    induced_disagreement_seminorm,
     induced_seminorm_bruteforce,
     naive_model_step,
-    row_normalize,
     scalar_hk_step,
     uniform_step,
 )
+from hkmulti.oracle import induced_disagreement_seminorm, row_normalize
 from conftest import rand_exact_matrix, rand_stochastic_rows, to_float_matrix
 
 

@@ -6,27 +6,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkmulti import (
+    InfluenceMatrix,
     NumericPolicy,
     OpinionMatrix,
-    RowStochasticMatrix,
     SimulationConfig,
+    StepReport,
+    Trajectory,
     ave_step,
     check_trajectory,
     contraction_factor,
     disagreement_seminorm,
     globally_ordered,
-    induced_disagreement_seminorm,
     induced_seminorm_bruteforce,
     naive_model_step,
     one_step_preservation_hypothesis,
     row_average,
-    row_normalize,
     run,
     sample_initial,
     scalar_hk_step,
     uniform_step,
 )
-from hkmulti.core import matrix_apply
+from hkmulti.core import distinct
+from hkmulti.oracle import (
+    RowStochasticMatrix,
+    induced_disagreement_seminorm,
+    matrix_apply,
+    row_normalize,
+)
 
 EXACT = NumericPolicy.exact()
 
@@ -246,6 +252,67 @@ def test_averaging_check_ties_the_matrix_to_the_transition():
     assert check_trajectory(broken, ["averaging-matrix"])[0] == (
         "averaging-matrix: step 0: next state is not the averaging matrix applied"
     )
+
+
+# rows from a small pool repeat, as after clusters merge; quarter-grid
+# opinions and epsilons put neighbors exactly at epsilon
+@st.composite
+def pooled_states(draw):
+    exact = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    quarters = st.integers(-8, 8).map(lambda k: Fraction(k, 4) if exact else k / 4)
+    opinions = quarters if exact else st.one_of(quarters, st.floats(-2, 2))
+    pool = draw(st.lists(st.tuples(*[opinions] * m), min_size=1, max_size=6))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    epsilon = Fraction(draw(st.integers(1, 16)), 4)
+    return OpinionMatrix(tuple(rows)), epsilon if exact else float(epsilon), exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_states())
+def test_averaging_check_equals_the_dense_product(case):
+    # the check's sparse product against the oracle's dense A @ X: equal
+    # entry for entry in exact mode (its slack is 0), within its scaled
+    # slack in float mode
+    x, epsilon, exact = case
+    policy = EXACT if exact else NumericPolicy.floating()
+    for model, step in (("ave", ave_step), ("uniform", uniform_step)):
+        influence = step(x, epsilon).influence
+        dense = matrix_apply(row_normalize(influence, exact), x)
+        config = SimulationConfig(model, epsilon, 1, policy)
+        traj = Trajectory(config, (x, dense), (StepReport(dense, influence),), False, None)
+        assert check_trajectory(traj, ["averaging-matrix"]) == []
+
+
+def _drop_pair(phi, i, k):
+    """``phi`` without the symmetric link between agents i and k."""
+    adjacency = [list(row) for row in phi.entries]
+    adjacency[i][k] = adjacency[k][i] = 0
+    rows, labels = distinct(map(tuple, adjacency))
+    links = [sorted({labels[j] for j, linked in enumerate(row) if linked}) for row in rows]
+    return InfluenceMatrix(labels, links)
+
+
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_averaging_check_catches_exact_tampering(model):
+    initial = sample_initial(12, 2, (-1, 1), 4, EXACT)
+    traj = run(SimulationConfig(model, Fraction(3, 5), 50, EXACT), initial)
+    assert check_trajectory(traj, ["averaging-matrix"]) == []
+    message = "averaging-matrix: step 0: next state is not the averaging matrix applied"
+    # one entry of the next state moved by 1/7
+    rows = [list(row) for row in traj.states[1].entries]
+    rows[0][0] += Fraction(1, 7)
+    moved = traj.states[:1] + (OpinionMatrix(tuple(map(tuple, rows))),) + traj.states[2:]
+    broken = dataclasses.replace(traj, states=moved)
+    assert check_trajectory(broken, ["averaging-matrix"])[0] == message
+    # agent 1 and one of its neighbors drop their link in the first
+    # step's influence, and the next state stays the same
+    report = traj.reports[0]
+    other = next(k for k in report.influence.neighbor_lists()[0] if k != 0)
+    dropped = dataclasses.replace(report, influence=_drop_pair(report.influence, 0, other))
+    broken = dataclasses.replace(traj, reports=(dropped,) + traj.reports[1:])
+    assert check_trajectory(broken, ["averaging-matrix"])[0] == message
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -10,9 +10,9 @@ from hkmulti import (
     globally_ordered,
     linf_neighbors,
     one_step_preservation_hypothesis,
-    row_normalize,
     uniform_step,
 )
+from hkmulti.oracle import row_normalize
 
 
 def test_linf_neighbors_example():
