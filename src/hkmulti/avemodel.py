@@ -4,6 +4,14 @@ Agents compare mean opinions: i listens to k when their per-agent means
 differ by at most the confidence bound.  One step replaces each opinion
 row with the mean of the neighbors' rows, so the whole multi-topic
 process projects onto a one-dimensional process on the means.
+
+A step's neighbor sets are therefore windows over the sorted means, the
+interval structure of one-dimensional Hegselmann-Krause dynamics
+(Blondel, Hendrickx & Tsitsiklis, IEEE TAC 2009).  That holds for the
+float predicate too: rounding is monotone, so for b <= a the rounded
+``a - b`` does not decrease as b decreases or as a increases (likewise
+for b >= a).  Each window is one interval, and both its ends are
+nondecreasing along the sorted means.
 """
 
 from __future__ import annotations
@@ -16,19 +24,28 @@ from .core import (
     StepReport,
     check_epsilon,
     disagreement_seminorm,
-    distinct,
     neighbor_means,
     row_average,
 )
 
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
-    # agents with equal means have equal neighbors: test each pair of
-    # distinct means once; the lists share one int per class to keep reports small
-    means, labels = distinct(values)
+    # classes are the distinct means in ascending order (0.0 and -0.0 are
+    # one); abs(a - b) <= epsilon holds on a window of them whose ends never
+    # move back as a grows (monotone rounding), so two pointers find every
+    # window.  The lists share one int per class to keep reports small
+    means = sorted(set(values))
+    rank = {a: c for c, a in enumerate(means)}
     classes = list(range(len(means)))
-    near = [[d for d, b in zip(classes, means) if abs(a - b) <= epsilon] for a in means]
-    return InfluenceMatrix(labels, near)
+    windows = []
+    lo = hi = 0
+    for a in means:
+        while abs(a - means[lo]) > epsilon:
+            lo += 1
+        while hi + 1 < len(means) and abs(a - means[hi + 1]) <= epsilon:
+            hi += 1
+        windows.append(classes[lo : hi + 1])
+    return InfluenceMatrix(list(map(rank.__getitem__, values)), windows)
 
 
 def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, repeat
-from operator import add
+from operator import add, or_
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 Scalar = Union[int, float, Fraction]
@@ -133,20 +134,23 @@ class NumericPolicy:
         Values that have no such form ("1/0", None, or "1e400" in float
         mode) raise ValueError, as do strings with a decimal exponent
         beyond ``MAX_DECIMAL_EXPONENT``: ``Fraction`` would build
-        ``10**|exponent|`` for them.
+        ``10**|exponent|`` for them.  The message quotes the input, cut
+        short when it is long.
         """
+        number = value
         try:
             if isinstance(value, str):
                 found = _EXPONENT.search(value)
                 digits = found[1].replace("_", "").lstrip("0") if found else ""
                 if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
                     raise ValueError(
-                        f"{value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
+                        f"{reprlib.repr(value)} has a decimal exponent beyond "
+                        f"{MAX_DECIMAL_EXPONENT}"
                     )
-                value = Fraction(value)
-            return Fraction(value) if self.is_exact else float(value)
+                number = Fraction(value)
+            return Fraction(number) if self.is_exact else float(number)
         except (OverflowError, TypeError, ZeroDivisionError):
-            raise ValueError(f"{value!r} is not a representable number") from None
+            raise ValueError(f"{reprlib.repr(value)} is not a representable number") from None
 
     def coerce_rows(
         self, rows: Iterable[Iterable[Union[Scalar, str]]]
@@ -320,9 +324,25 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     Float overlaps add the weight term by term from 0.0, as the dense
     sum does, so both forms agree bit for bit.  Only distinct neighbor sets are paired; a
     set shared by two agents also overlaps itself.  One agent gives 0.
+
+    When the neighbor classes of the first and the last class cannot
+    meet (their sorted lists do not overlap as intervals), that pair
+    shares no agent and the result is 1 - 0 at once.  For the ``ave``
+    rule, whose classes are windows over the sorted means with
+    nondecreasing ends (Blondel, Hendrickx & Tsitsiklis, IEEE TAC 2009),
+    the test is exact: if the two extreme windows meet, every pair meets.
     """
-    # neighbor sets as agent bitsets; a popcount is a degree or an overlap
-    sets, set_of = distinct(sum(1 << k for k in agents) for agents in phi.class_agents())
+    first, last = phi.class_neighbors[0], phi.class_neighbors[-1]
+    if first[-1] < last[0] or last[-1] < first[0]:
+        return 1 - _overlap(0, 1, exact)
+    # neighbor sets as agent bitsets, the OR of their classes' member
+    # bitsets; a popcount is a degree or an overlap
+    members = [0] * len(phi.class_neighbors)
+    for k, c in enumerate(phi.labels):
+        members[c] |= 1 << k
+    sets, set_of = distinct(
+        reduce(or_, map(members.__getitem__, nbrs)) for nbrs in phi.class_neighbors
+    )
     sized = [(s, s.bit_count()) for s in sets]
     keys = {
         ((a & b).bit_count(), max(da, db))

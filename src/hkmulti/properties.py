@@ -33,7 +33,6 @@ from .core import (
     contraction_factor,
     disagreement_seminorm,
     matrices_close,
-    row_average,
 )
 from .oracle import scalar_hk_step
 from .sim import Trajectory
@@ -151,7 +150,7 @@ def check_average_order(traj: Trajectory) -> list[str]:
     if traj.config.model != MODEL_AVE:
         return []
     slack = _slack(traj)
-    means = [row_average(s).values for s in traj.states]
+    means = [m.values for m in traj.means]
     out = []
     for t, (before, after) in enumerate(zip(means, means[1:])):
         order = sorted(range(len(before)), key=lambda i: (before[i], i))
@@ -170,7 +169,7 @@ def check_average_reduction(traj: Trajectory) -> list[str]:
         return []
     exact = traj.config.policy.is_exact
     tol = 0 if exact else FLOAT_REDUCTION_TOL
-    means = [row_average(s).values for s in traj.states]
+    means = [m.values for m in traj.means]
     out = []
     for t, (before, got) in enumerate(zip(means, means[1:])):
         expected = scalar_hk_step(before, traj.config.epsilon)
@@ -188,7 +187,7 @@ def check_max_gap_stationary(traj: Trajectory) -> list[str]:
     """
     if traj.config.model != MODEL_AVE or not traj.config.policy.is_exact:
         return []
-    gaps = [max_average_gap(row_average(s)) for s in traj.states]
+    gaps = list(map(max_average_gap, traj.means))
     out = []
     frozen_at: Optional[int] = None
     for t in range(len(gaps) - 1):
@@ -232,7 +231,7 @@ def check_epsilon_chain_link(traj: Trajectory) -> list[str]:
         traj.final_state, eps, traj.config.policy, traj.config.model, traj.termination_step
     )
     consensus = report.outcome == OUTCOME_CONSENSUS
-    chains = [is_epsilon_chain(row_average(s), eps) for s in traj.states]
+    chains = [is_epsilon_chain(m, eps) for m in traj.means]
     out = []
     if consensus != chains[-1]:
         out.append("terminal chain test disagrees with consensus outcome")

@@ -11,12 +11,14 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .avemodel import ave_step
 from .core import (
     MODEL_AVE,
     MODEL_KINDS,
+    AverageVector,
     NumericPolicy,
     OpinionMatrix,
     Scalar,
@@ -24,6 +26,7 @@ from .core import (
     check_epsilon,
     is_finite,
     matrices_close,
+    row_average,
 )
 from .uniform import uniform_step
 
@@ -77,6 +80,11 @@ class Trajectory:
     @property
     def final_state(self) -> OpinionMatrix:
         return self.states[-1]
+
+    @cached_property
+    def means(self) -> tuple[AverageVector, ...]:
+        """Each state's per-agent means, computed on first use and kept."""
+        return tuple(map(row_average, self.states))
 
 
 def run(config: SimulationConfig, initial: OpinionMatrix) -> Trajectory:

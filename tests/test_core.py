@@ -25,6 +25,7 @@ from hkmulti import (
     topic_range,
     uniform_step,
 )
+from hkmulti.avemodel import _neighbors_from_averages
 from hkmulti.core import matrices_close, neighbor_means
 from hkmulti.oracle import (
     RowStochasticMatrix,
@@ -254,9 +255,13 @@ def test_policy_coercion():
 )
 def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         policy.coerce(value)
     assert time.perf_counter() - start < 1
+    # the message quotes the input, not its converted value, and stays short
+    message = str(caught.value)
+    assert repr(value)[:12] in message
+    assert len(message) < 100
 
 
 def test_matrix_helpers():
@@ -355,3 +360,54 @@ def test_neighbor_classes_equal_all_pairs(case):
         assert phi.neighbor_lists(1) == tuple(
             tuple(k for k, linked in enumerate(row, 1) if linked) for row in adjacency
         )
+
+
+# means on the quarter grid tie at epsilon, 0.0 and -0.0 are one mean, and
+# means drawn from a small pool repeat; arbitrary floats probe the rounding
+@st.composite
+def mean_cases(draw):
+    exact = draw(st.booleans())
+    if exact:
+        pool = draw(st.lists(exact_opinions, min_size=1, max_size=30))
+        epsilon = Fraction(draw(st.integers(1, 16)), 4)
+    else:
+        pool = draw(st.lists(float_opinions, min_size=1, max_size=30))
+        epsilon = draw(st.one_of(st.integers(1, 16).map(lambda k: k / 4), st.floats(1e-3, 4)))
+    n = draw(st.integers(1, 40))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))), epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean_cases())
+@example(((0.0, -0.0, 0.5, 0.25, 0.5, -0.5), 0.5))
+@example(((Fraction(-1), Fraction(0), Fraction(1)), Fraction(1, 4)))
+def test_ave_neighbors_are_windows_over_the_sorted_means(case):
+    values, epsilon = case
+    phi = _neighbors_from_averages(values, epsilon)
+    means = sorted(set(values))
+    assert [means[c] for c in phi.labels] == list(values)
+    ends = [(nbrs[0], nbrs[-1]) for nbrs in phi.class_neighbors]
+    for (lo, hi), nbrs in zip(ends, phi.class_neighbors):
+        assert nbrs == tuple(range(lo, hi + 1))
+    assert all(a <= c and b <= d for (a, b), (c, d) in zip(ends, ends[1:]))
+    assert phi.class_neighbors == tuple(
+        tuple(d for d, b in enumerate(means) if abs(a - b) <= epsilon) for a in means
+    )
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_contraction_factor_takes_both_paths_on_ave_matrices(exact):
+    # disjoint extreme windows return at once, meeting ones pair the
+    # neighbor sets; both must give the dense form's value and repr
+    policy = NumericPolicy.exact() if exact else NumericPolicy.floating()
+    disjoint = set()
+    for seed, eps in ((1, "1/10"), (2, "1/5"), (3, "3/5"), (4, "6/5"), (5, "2")):
+        initial = sample_initial(24, 2, (-1.0, 1.0), seed, policy)
+        config = SimulationConfig("ave", policy.coerce(eps), 6, policy)
+        for report in run(config, initial).reports:
+            phi = report.influence
+            first, last = phi.class_neighbors[0], phi.class_neighbors[-1]
+            disjoint.add(first[-1] < last[0])
+            dense = induced_disagreement_seminorm(row_normalize(phi, exact))
+            assert repr(contraction_factor(phi, exact)) == repr(dense)
+    assert disjoint == {True, False}

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hkmulti import (
     Trajectory,
     ave_step,
     check_trajectory,
+    classify_outcome,
     contraction_factor,
     disagreement_seminorm,
     globally_ordered,
@@ -26,6 +28,7 @@ from hkmulti import (
     scalar_hk_step,
     uniform_step,
 )
+from hkmulti import properties
 from hkmulti.core import distinct
 from hkmulti.oracle import (
     RowStochasticMatrix,
@@ -333,3 +336,34 @@ def test_float_checks_scale_their_slack_with_the_opinions(seed):
     broken = dataclasses.replace(traj, states=nudged)
     for name in ("contraction", "range-monotone", "box-confinement"):
         assert check_trajectory(broken, [name]), name
+
+
+def test_mean_checks_average_each_state_once(monkeypatch):
+    # the four mean-based checks share one row_average per state; the
+    # classifier, which two of them call, works on its own and is not counted
+    checks = ["average-order", "average-reduction", "max-gap-stationary", "epsilon-chain-link"]
+    initial = sample_initial(20, 2, (-1, 1), 1, EXACT)
+    traj = run(SimulationConfig("ave", Fraction(3, 20), 50, EXACT), initial)
+    assert traj.terminated
+    calls = []
+    classifying = []
+
+    def counted(x):
+        if not classifying:
+            calls.append(id(x))
+        return row_average(x)
+
+    def classify(*args):
+        classifying.append(True)
+        try:
+            return classify_outcome(*args)
+        finally:
+            classifying.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hkmulti") and getattr(module, "row_average", None) is row_average:
+            monkeypatch.setattr(module, "row_average", counted)
+    monkeypatch.setattr(properties, "classify_outcome", classify)
+    assert check_trajectory(traj, checks) == []
+    assert check_trajectory(traj, checks) == []
+    assert sorted(calls) == sorted(map(id, traj.states))
