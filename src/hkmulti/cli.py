@@ -348,7 +348,9 @@ def cmd_batch(args) -> int:
 
     rows = []
     for index, (seed, traj) in enumerate(zip(seeds, trajectories)):
-        summary = _summary_dict(traj, policy)
+        report = classify_outcome(
+            traj.final_state, epsilon, policy, args.model, traj.termination_step
+        )
         rows.append(
             {
                 "index": index,
@@ -356,8 +358,8 @@ def cmd_batch(args) -> int:
                 "terminated": traj.terminated,
                 "termination_step": traj.termination_step,
                 "n_steps": traj.n_steps,
-                "outcome": summary["outcome"],
-                "n_clusters": summary["n_clusters"],
+                "outcome": report.outcome,
+                "n_clusters": None if report.partition is None else report.partition.n_blocks,
             }
         )
     payload = {

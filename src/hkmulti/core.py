@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 import reprlib
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,17 @@ DEFAULT_TAU_CLUSTER = 1e-9
 # Python's default limit on int-string digits; four digits long
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _printable(value: Fraction) -> Fraction:
+    """``value``, or OverflowError if ``str`` cannot print it under the
+    interpreter's int-string digit limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    big = max(abs(value.numerator), value.denominator)
+    # 2**(3 * limit) < 10**limit, so short values skip the power
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise OverflowError
+    return value
 
 
 class PropertyViolation(AssertionError):
@@ -134,8 +146,10 @@ class NumericPolicy:
         Values that have no such form ("1/0", None, or "1e400" in float
         mode) raise ValueError, as do strings with a decimal exponent
         beyond ``MAX_DECIMAL_EXPONENT``: ``Fraction`` would build
-        ``10**|exponent|`` for them.  The message quotes the input, cut
-        short when it is long.
+        ``10**|exponent|`` for them.  So do exact values that ``str``
+        cannot print under the interpreter's int-string digit limit
+        ("1e-4300", "12e4299"), as no file could hold them.  The message
+        quotes the input, cut short when it is long.
         """
         number = value
         try:
@@ -148,7 +162,7 @@ class NumericPolicy:
                         f"{MAX_DECIMAL_EXPONENT}"
                     )
                 number = Fraction(value)
-            return Fraction(number) if self.is_exact else float(number)
+            return _printable(Fraction(number)) if self.is_exact else float(number)
         except (OverflowError, TypeError, ZeroDivisionError):
             raise ValueError(f"{reprlib.repr(value)} is not a representable number") from None
 
@@ -369,6 +383,11 @@ def topic_range(x: OpinionMatrix, topic: int) -> Scalar:
     if not 0 <= topic < x.n_topics:
         raise IndexError(f"topic {topic} out of range for {x.n_topics} topics")
     return disagreement_seminorm(x.column(topic))
+
+
+def topic_hulls(x: OpinionMatrix) -> tuple[tuple[Scalar, Scalar], ...]:
+    """Each topic's (min, max) opinion; ``max - min`` is its range."""
+    return tuple((min(col), max(col)) for col in zip(*x.entries))
 
 
 def global_range(x: OpinionMatrix) -> Scalar:

@@ -15,7 +15,7 @@ meaningful in exact arithmetic skip float trajectories.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .analysis import (
     OUTCOME_CONSENSUS,
@@ -30,8 +30,6 @@ from .core import (
     OpinionMatrix,
     PropertyViolation,
     Scalar,
-    contraction_factor,
-    disagreement_seminorm,
     matrices_close,
 )
 from .oracle import scalar_hk_step
@@ -46,11 +44,21 @@ def _slack(traj: Trajectory) -> Scalar:
     return 0 if traj.config.policy.is_exact else FLOAT_SLACK
 
 
-def _scaled_slack(traj: Trajectory, state: OpinionMatrix) -> Scalar:
-    """Slack for a step from ``state``: float rounding grows with the opinions."""
+def _scaled_slack(traj: Trajectory, t: int) -> Scalar:
+    """Slack for step ``t``: float rounding grows with the opinions."""
     if traj.config.policy.is_exact:
         return 0
-    return FLOAT_SLACK * max(1, max(abs(v) for row in state.entries for v in row))
+    # the largest |opinion| of a state is at an end of some topic's hull
+    return FLOAT_SLACK * max(1, max(abs(v) for hull in traj.hulls[t] for v in hull))
+
+
+def _topic_steps(traj: Trajectory) -> Iterator[tuple]:
+    """(t, j, slack, hull before, hull after) for each step t and topic j."""
+    hulls = traj.hulls
+    for t in range(traj.n_steps):
+        slack = _scaled_slack(traj, t)
+        for j, (before, after) in enumerate(zip(hulls[t], hulls[t + 1])):
+            yield t, j, slack, before, after
 
 
 def check_influence(traj: Trajectory) -> list[str]:
@@ -74,15 +82,14 @@ def check_averaging_step(traj: Trajectory) -> list[str]:
     exact = traj.config.policy.is_exact
     out = []
     for t, report in enumerate(traj.reports):
-        state = traj.states[t]
-        rows = state.entries
+        rows = traj.states[t].entries
         mixed = []
         for agents in report.influence.class_agents():
             weight = Fraction(1, len(agents)) if exact else 1.0 / len(agents)
             nbrs = [rows[k] for k in agents]
             mixed.append(tuple(sum(weight * v for v in col) for col in zip(*nbrs)))
         applied = OpinionMatrix(tuple(map(mixed.__getitem__, report.influence.labels)))
-        if not matrices_close(applied, traj.states[t + 1], _scaled_slack(traj, state)):
+        if not matrices_close(applied, traj.states[t + 1], _scaled_slack(traj, t)):
             out.append(f"step {t}: next state is not the averaging matrix applied")
     return out
 
@@ -100,48 +107,31 @@ def check_contraction(traj: Trajectory) -> list[str]:
     """Per-topic disagreement shrinks by at least the matrix seminorm factor."""
     if traj.config.model != MODEL_AVE:
         return []
-    exact = traj.config.policy.is_exact
     out = []
-    for t, report in enumerate(traj.reports):
-        before = traj.states[t]
-        after = traj.states[t + 1]
-        slack = _scaled_slack(traj, before)
-        gamma = contraction_factor(report.influence, exact)
-        for j in range(before.n_topics):
-            lhs = disagreement_seminorm(after.column(j))
-            rhs = gamma * disagreement_seminorm(before.column(j))
-            if lhs > rhs + slack:
-                out.append(f"step {t} topic {j}: spread {lhs} exceeds bound {rhs}")
+    for t, j, slack, (blo, bhi), (alo, ahi) in _topic_steps(traj):
+        lhs = ahi - alo
+        rhs = traj.gammas[t] * (bhi - blo)
+        if lhs > rhs + slack:
+            out.append(f"step {t} topic {j}: spread {lhs} exceeds bound {rhs}")
     return out
 
 
 def check_range_monotone(traj: Trajectory) -> list[str]:
     """Per-topic opinion ranges never grow."""
     out = []
-    for t in range(traj.n_steps):
-        before = traj.states[t]
-        after = traj.states[t + 1]
-        slack = _scaled_slack(traj, before)
-        for j in range(before.n_topics):
-            b = disagreement_seminorm(before.column(j))
-            a = disagreement_seminorm(after.column(j))
-            if a > b + slack:
-                out.append(f"step {t} topic {j}: range grew from {b} to {a}")
+    for t, j, slack, (blo, bhi), (alo, ahi) in _topic_steps(traj):
+        b, a = bhi - blo, ahi - alo
+        if a > b + slack:
+            out.append(f"step {t} topic {j}: range grew from {b} to {a}")
     return out
 
 
 def check_box_confinement(traj: Trajectory) -> list[str]:
     """Per-topic min/max envelopes never widen (steps are convex mixes)."""
     out = []
-    for t in range(traj.n_steps):
-        before = traj.states[t]
-        after = traj.states[t + 1]
-        slack = _scaled_slack(traj, before)
-        for j in range(before.n_topics):
-            bcol = before.column(j)
-            acol = after.column(j)
-            if min(acol) < min(bcol) - slack or max(acol) > max(bcol) + slack:
-                out.append(f"step {t} topic {j}: opinions left the previous hull")
+    for t, j, slack, (blo, bhi), (alo, ahi) in _topic_steps(traj):
+        if alo < blo - slack or ahi > bhi + slack:
+            out.append(f"step {t} topic {j}: opinions left the previous hull")
     return out
 
 

@@ -21,8 +21,6 @@ from .core import (
     NumericPolicy,
     OpinionMatrix,
     Scalar,
-    contraction_factor,
-    topic_range,
 )
 from .sim import Trajectory
 
@@ -86,18 +84,14 @@ def trajectory_lines(traj: Trajectory) -> list[str]:
     exact = traj.config.policy.is_exact
     lines = []
     for t, report in enumerate(traj.reports):
-        state = traj.states[t]
         record = {
             "step": t,
-            "state": matrix_tokens(state, exact),
+            "state": matrix_tokens(traj.states[t], exact),
             "influence": report.influence.neighbor_lists(first=1),
-            "topic_ranges": [
-                scalar_token(topic_range(state, j), exact)
-                for j in range(state.n_topics)
-            ],
+            "topic_ranges": [scalar_token(hi - lo, exact) for lo, hi in traj.hulls[t]],
         }
         if traj.config.model == MODEL_AVE:
-            record["gamma"] = scalar_token(contraction_factor(report.influence, exact), exact)
+            record["gamma"] = scalar_token(traj.gammas[t], exact)
         lines.append(_dump(record))
     lines.append(
         _dump(
@@ -116,13 +110,10 @@ def write_trajectory_jsonl(path: PathLike, traj: Trajectory) -> None:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One deserialized JSONL step: pre-step state plus diagnostics."""
+    """One deserialized JSONL record: its step number and pre-step state."""
 
     step: int
     state: OpinionMatrix
-    influence_lists: Optional[tuple[tuple[int, ...], ...]]
-    topic_ranges: Optional[tuple[Scalar, ...]]
-    gamma: Optional[Scalar]
 
 
 def json_int(value, what: str) -> int:
@@ -142,9 +133,11 @@ def json_rows(value, what: str) -> list:
 def read_trajectory_jsonl(
     path: PathLike, policy: NumericPolicy, text: Optional[str] = None
 ) -> list[StepRecord]:
-    """Parse a trajectory file; neighbor lists come back 0-based.
+    """Parse a trajectory file into its steps and states.
 
-    ``text``, when given, is the file's content already read by the caller.
+    The diagnostic keys are type-checked and not kept: the replay
+    recomputes them.  ``text``, when given, is the file's content already
+    read by the caller.
     """
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
@@ -157,29 +150,20 @@ def read_trajectory_jsonl(
         raw = _load(line, where)
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be a JSON object")
-        influence = None
         if "influence" in raw:
             lists = json_rows(raw["influence"], f"{where} 'influence'")
             if not all(isinstance(k, int) for nbrs in lists for k in nbrs):
                 raise ValueError(f"{where} 'influence' must hold agent numbers")
-            influence = tuple(tuple(k - 1 for k in nbrs) for nbrs in lists)
-        ranges = None
         if "topic_ranges" in raw:
             if not isinstance(raw["topic_ranges"], list):
                 raise ValueError(f"{where} 'topic_ranges' must be a list")
-            ranges = tuple(policy.coerce(v) for v in raw["topic_ranges"])
-        gamma = policy.coerce(raw["gamma"]) if "gamma" in raw else None
-        records.append(
-            StepRecord(
-                step=json_int(raw["step"], f"{where} 'step'"),
-                state=OpinionMatrix(
-                    policy.coerce_rows(json_rows(raw["state"], f"{where} 'state'"))
-                ),
-                influence_lists=influence,
-                topic_ranges=ranges,
-                gamma=gamma,
-            )
-        )
+            for value in raw["topic_ranges"]:
+                policy.coerce(value)
+        if "gamma" in raw:
+            policy.coerce(raw["gamma"])
+        step = json_int(raw["step"], f"{where} 'step'")
+        rows = policy.coerce_rows(json_rows(raw["state"], f"{where} 'state'"))
+        records.append(StepRecord(step, OpinionMatrix(rows)))
     if not records:
         raise ValueError(f"no records in {path}")
     return records

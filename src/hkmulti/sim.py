@@ -24,13 +24,13 @@ from .core import (
     Scalar,
     StepReport,
     check_epsilon,
+    contraction_factor,
     is_finite,
     matrices_close,
     row_average,
+    topic_hulls,
 )
 from .uniform import uniform_step
-
-MAX_THREADS_ENV = "HK_MAX_THREADS"
 
 # name recorded in manifests for the box sampler below
 GENERATOR_NAME = "python-random-mt19937"
@@ -85,6 +85,17 @@ class Trajectory:
     def means(self) -> tuple[AverageVector, ...]:
         """Each state's per-agent means, computed on first use and kept."""
         return tuple(map(row_average, self.states))
+
+    @cached_property
+    def hulls(self) -> tuple[tuple[tuple[Scalar, Scalar], ...], ...]:
+        """Each state's per-topic (min, max), computed on first use and kept."""
+        return tuple(map(topic_hulls, self.states))
+
+    @cached_property
+    def gammas(self) -> tuple[Scalar, ...]:
+        """Each step's contraction factor, computed on first use and kept."""
+        exact = self.config.policy.is_exact
+        return tuple(contraction_factor(r.influence, exact) for r in self.reports)
 
 
 def run(config: SimulationConfig, initial: OpinionMatrix) -> Trajectory:
@@ -167,23 +178,13 @@ def batch_run(
 ) -> tuple[Trajectory, ...]:
     """Run independent jobs on a thread pool, results in job order.
 
-    Pool width: ``max_threads`` argument, else the HK_MAX_THREADS
-    environment variable, else the CPU count; never more than the CPU
-    count or the number of jobs.
+    Pool width: ``max_threads`` if given, else the CPU count; never more
+    than the CPU count or the number of jobs.
     """
     if not jobs:
         return ()
-    limit = max_threads
-    if limit is None:
-        env = os.environ.get(MAX_THREADS_ENV, "").strip()
-        if env:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise ValueError(f"{MAX_THREADS_ENV} must be an integer, got {env!r}")
     cpus = os.cpu_count() or 1
-    if limit is None:
-        limit = cpus
+    limit = cpus if max_threads is None else max_threads
     if limit < 1:
         raise ValueError("thread limit must be at least 1")
     limit = min(limit, len(jobs), cpus)

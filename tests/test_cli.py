@@ -418,6 +418,48 @@ def test_verify_compares_float_records_with_the_replay(tmp_path, capsys, tamper)
     assert f"step {step}: record differs from replay" in capsys.readouterr().err
 
 
+def _set_first(key, edit):
+    def tamper(lines):
+        first = json.loads(lines[0])
+        first[key] = edit(first[key])
+        lines[0] = json.dumps(first, sort_keys=True, separators=(",", ":"))
+
+    return tamper
+
+
+@pytest.mark.parametrize("command", ["verify", "plotdata"])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _set_first("influence", lambda lists: [k for nbrs in lists for k in nbrs]),
+        _set_first("influence", lambda lists: [[1.5] + nbrs for nbrs in lists]),
+        _set_first("topic_ranges", lambda ranges: ranges[0]),
+        _set_first("topic_ranges", lambda ranges: ["wide"] + ranges[1:]),
+        _set_first("gamma", lambda gamma: "half"),
+    ],
+    ids=["influence-flat", "agent-not-int", "ranges-not-list", "range-not-number",
+         "gamma-not-number"],
+)
+def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
+    # the reader keeps only steps and states, but still type-checks the rest
+    out_dir = tmp_path / "out"
+    argv = ["run", "--model", "ave", "--epsilon", "1/2", "--mode", "exact",
+            "--agents", "5", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    path = out_dir / "trajectory.jsonl"
+    lines = path.read_text().splitlines()
+    tamper(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+    capsys.readouterr()
+    if command == "verify":
+        argv = ["verify", "--run-dir", str(out_dir)]
+    else:
+        argv = ["plotdata", "--trajectory", str(path), "--out-dir", str(tmp_path / "plot")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert (
@@ -453,9 +495,8 @@ def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: unsupported manifest revision")
 
 
-def test_batch_sweep(tmp_path, monkeypatch):
+def test_batch_sweep(tmp_path):
     target = tmp_path / "batch.json"
-    monkeypatch.setenv("HK_MAX_THREADS", "2")
     code = main(
         [
             "batch",
@@ -474,6 +515,8 @@ def test_batch_sweep(tmp_path, monkeypatch):
             "0:8",
             "--max-steps",
             "100",
+            "--threads",
+            "2",
             "--out",
             str(target),
         ]
@@ -668,41 +711,47 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
 
 
 @pytest.mark.parametrize(
-    "files, argv",
+    "files, argv, named",
     [
-        pytest.param({"s.csv": "1e400,0\n"}, CLASSIFY_S, id="csv-overflow"),
-        pytest.param({"s.csv": "1/0,1\n"}, CLASSIFY_S, id="csv-zero-division"),
+        pytest.param({"s.csv": "1e400,0\n"}, CLASSIFY_S, None, id="csv-overflow"),
+        pytest.param({"s.csv": "1/0,1\n"}, CLASSIFY_S, None, id="csv-zero-division"),
         # Fraction would build 10**30000000 for these: far past the time bound
-        pytest.param({"s.csv": "1e-30000000\n"}, CLASSIFY_S, id="csv-huge-exponent"),
+        pytest.param({"s.csv": "1e-30000000\n"}, CLASSIFY_S, None, id="csv-huge-exponent"),
         pytest.param(
             {"s.csv": "1e-30000000\n"}, CLASSIFY_S + ["--mode", "exact"],
+            None,
             id="csv-huge-exponent-exact",
         ),
-        pytest.param({}, RUN_EPS + ["1e400"], id="flag-overflow"),
-        pytest.param({}, RUN_EPS + ["1e-30000000"], id="flag-huge-exponent"),
+        pytest.param({}, RUN_EPS + ["1e400"], None, id="flag-overflow"),
+        pytest.param({}, RUN_EPS + ["1e-30000000"], None, id="flag-huge-exponent"),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict(epsilon="1e-30000000")), "t.jsonl": ""},
             VERIFY_M,
+            None,
             id="manifest-huge-exponent",
         ),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict(epsilon="1/0")), "t.jsonl": ""},
             VERIFY_M,
+            None,
             id="manifest-zero-division",
         ),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict(epsilon=None)), "t.jsonl": ""},
             VERIFY_M,
+            None,
             id="manifest-null",
         ),
         pytest.param(
             {"t.jsonl": '{"state":[["1/0"]],"step":0}\n'},
             ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            None,
             id="jsonl-zero-division",
         ),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict(max_steps=None)), "t.jsonl": ""},
             VERIFY_M,
+            None,
             id="manifest-max-steps-null",
         ),
         pytest.param(
@@ -716,6 +765,7 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
                 "t.jsonl": "",
             },
             VERIFY_M,
+            None,
             id="manifest-tolerance-string",
         ),
         pytest.param(
@@ -730,28 +780,47 @@ RUN_EPS = ["run", "--model", "ave", "--agents", "3", "--topics", "1", "--seed", 
                 "t.jsonl": "",
             },
             VERIFY_M,
+            None,
             id="manifest-box-agents-null",
         ),
         pytest.param(
             {"t.jsonl": '{"state":5,"step":0}\n'},
             ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            None,
             id="jsonl-state-int",
         ),
         # json.loads raises RecursionError on input nested this deep
-        pytest.param({"m.json": NESTED, "t.jsonl": ""}, VERIFY_M, id="manifest-nested"),
+        pytest.param({"m.json": NESTED, "t.jsonl": ""}, VERIFY_M, None, id="manifest-nested"),
         pytest.param(
             {"m.json": json.dumps(_manifest_dict()), "t.jsonl": NESTED + "\n"},
             VERIFY_M,
+            None,
             id="jsonl-nested",
         ),
         pytest.param(
             {"t.jsonl": NESTED + "\n"},
             ["plotdata", "--trajectory", "t.jsonl", "--out-dir", "out"],
+            None,
             id="jsonl-nested-plotdata",
+        ),
+        # exact values whose digits str() cannot print: rejected on input,
+        # before run creates its output directory
+        pytest.param({}, RUN_EPS + ["1e4300", "--mode", "exact"], "'1e4300'",
+                     id="flag-digit-limit"),
+        pytest.param({}, RUN_EPS + ["12e4299", "--mode", "exact"], "'12e4299'",
+                     id="flag-digit-limit-mantissa"),
+        pytest.param({}, RUN_EPS + ["1e-4300", "--mode", "exact"], "'1e-4300'",
+                     id="flag-digit-limit-negative-exponent"),
+        pytest.param(
+            {"s.csv": "1e4300\n0\n"},
+            ["run", "--model", "ave", "--mode", "exact", "--epsilon", "1", "--init", "s.csv",
+             "--out-dir", "out"],
+            "'1e4300'",
+            id="csv-digit-limit",
         ),
     ],
 )
-def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv):
+def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv, named):
     for name, text in files.items():
         write_lines(tmp_path / name, text)
     argv = [str(tmp_path / a) if a in files or a == "out" else a for a in argv]
@@ -764,6 +833,9 @@ def test_unrepresentable_numbers_exit_1_without_traceback(tmp_path, files, argv)
     assert "Traceback" not in proc.stderr
     # each manifest case must fail on its own key, not on the revision
     assert "revision" not in proc.stderr
+    if named is not None:
+        assert f"{named} is not a representable number" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -231,9 +231,10 @@ def test_policy_coercion():
     assert isinstance(floating.coerce(1), float)
     rows = exact.coerce_rows([[0.25, "1/3"]])
     assert rows == ((Fraction(1, 4), Fraction(1, 3)),)
-    # exponents up to the bound keep their exact value, leading zeros too
-    assert exact.coerce("1e-4300") == Fraction(1, 10**4300)
-    assert exact.coerce("2.5E+4300") == 25 * 10**4299
+    # exponents up to the bound keep their exact value, leading zeros too,
+    # while the digits still fit the int-string limit
+    assert exact.coerce("1e-4299") == Fraction(1, 10**4299)
+    assert exact.coerce("2.5E+4299") == 25 * 10**4298
     assert exact.coerce("1e-0000000005") == Fraction(1, 10**5)
     assert floating.coerce("1e-4300") == 0.0
 
@@ -251,6 +252,11 @@ def test_policy_coercion():
         (NumericPolicy.floating(), "1e-30000000"),
         (NumericPolicy.exact(), "1e-30000000"),
         (NumericPolicy.exact(), "1E+30000000"),
+        # exact values with more digits than str() prints
+        (NumericPolicy.exact(), "1e4300"),
+        (NumericPolicy.exact(), "1e-4300"),
+        (NumericPolicy.exact(), "12e4299"),
+        (NumericPolicy.exact(), "2.5E+4300"),
     ],
 )
 def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):

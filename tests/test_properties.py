@@ -29,7 +29,8 @@ from hkmulti import (
     uniform_step,
 )
 from hkmulti import properties
-from hkmulti.core import distinct
+from hkmulti.core import distinct, topic_hulls
+from hkmulti.serialize import trajectory_lines
 from hkmulti.oracle import (
     RowStochasticMatrix,
     induced_disagreement_seminorm,
@@ -367,3 +368,38 @@ def test_mean_checks_average_each_state_once(monkeypatch):
     assert check_trajectory(traj, checks) == []
     assert check_trajectory(traj, checks) == []
     assert sorted(calls) == sorted(map(id, traj.states))
+
+
+@pytest.mark.parametrize(
+    "policy, epsilon",
+    [(EXACT, Fraction(3, 20)), (NumericPolicy.floating(), 0.15)],
+    ids=["exact", "float"],
+)
+def test_writer_and_checks_share_gamma_and_hulls(monkeypatch, policy, epsilon):
+    # the JSONL writer and the three range checks read Trajectory.gammas
+    # and Trajectory.hulls: one gamma per step, one hull per state
+    initial = sample_initial(20, 2, (-1, 1), 1, policy)
+    traj = run(SimulationConfig("ave", epsilon, 50, policy), initial)
+    assert traj.terminated and traj.n_steps > 2
+    gammas = []
+    hulls = []
+
+    def counted(calls, fn):
+        def wrapper(arg, *rest):
+            calls.append(id(arg))
+            return fn(arg, *rest)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("hkmulti"):
+            continue
+        if getattr(module, "contraction_factor", None) is contraction_factor:
+            monkeypatch.setattr(module, "contraction_factor", counted(gammas, contraction_factor))
+        if getattr(module, "topic_hulls", None) is topic_hulls:
+            monkeypatch.setattr(module, "topic_hulls", counted(hulls, topic_hulls))
+    trajectory_lines(traj)
+    assert check_trajectory(traj) == []
+    assert check_trajectory(traj) == []
+    assert sorted(gammas) == sorted(id(report.influence) for report in traj.reports)
+    assert sorted(hulls) == sorted(map(id, traj.states))

@@ -74,13 +74,13 @@ def test_trajectory_jsonl_exact_round_trip(tmp_path):
     for t, record in enumerate(records):
         assert record.step == t
         assert record.state.entries == traj.states[t].entries
-    # final record carries no diagnostics
-    assert records[-1].influence_lists is None
-    assert records[-1].gamma is None
-    # step records carry 0-based neighbor lists after parsing
-    assert records[0].influence_lists == ((0, 1), (0, 1), (2,))
-    assert records[0].gamma == contraction_factor(traj.reports[0].influence, exact=True)
-    assert records[0].topic_ranges == (3, 3)
+    # step records carry 1-based neighbor lists and the diagnostics;
+    # the final record carries none
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0]["influence"] == [[1, 2], [1, 2], [3]]
+    assert lines[0]["gamma"] == str(contraction_factor(traj.reports[0].influence, exact=True))
+    assert lines[0]["topic_ranges"] == ["3", "3"]
+    assert lines[-1].keys() == {"step", "state"}
 
 
 def test_trajectory_jsonl_uses_one_based_agents(tmp_path):

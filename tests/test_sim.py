@@ -134,34 +134,18 @@ def test_batch_run_matches_sequential_runs():
         assert traj.termination_step == solo.termination_step
 
 
-def test_batch_run_thread_env(monkeypatch):
-    config = SimulationConfig("ave", 1, 20, EXACT)
-    jobs = [(config, OpinionMatrix(((0, 0), (1, 1), (3, 3))))] * 3
-    monkeypatch.setenv("HK_MAX_THREADS", "2")
-    out = batch_run(jobs)
-    assert len(out) == 3 and all(t.terminated for t in out)
-    monkeypatch.setenv("HK_MAX_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        batch_run(jobs)
-    monkeypatch.setenv("HK_MAX_THREADS", "0")
-    with pytest.raises(ValueError):
-        batch_run(jobs)
-
-
 @pytest.mark.parametrize(
-    "requested, env, jobs, cpus, width",
+    "requested, jobs, cpus, width",
     [
-        (100000, None, 5, 2, 2),
-        (None, "100000", 5, 3, 3),
-        (None, None, 5, 4, 4),
-        (8, None, 3, 16, 3),
-        (1, None, 5, 4, 1),
-        (None, "2", 5, None, 1),
+        (100000, 5, 2, 2),
+        (None, 5, 3, 3),
+        (None, 5, 4, 4),
+        (8, 3, 16, 3),
+        (1, 5, 4, 1),
+        (None, 5, None, 1),
     ],
 )
-def test_batch_pool_width_is_capped_at_the_cpu_count(
-    monkeypatch, requested, env, jobs, cpus, width
-):
+def test_batch_pool_width_is_capped_at_the_cpu_count(monkeypatch, requested, jobs, cpus, width):
     widths = []
 
     class RecordingPool:
@@ -181,10 +165,6 @@ def test_batch_pool_width_is_capped_at_the_cpu_count(
 
     monkeypatch.setattr("hkmulti.sim.ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr("hkmulti.sim.os.cpu_count", lambda: cpus)
-    if env is None:
-        monkeypatch.delenv("HK_MAX_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HK_MAX_THREADS", env)
     config = SimulationConfig("ave", 1, 20, EXACT)
     out = batch_run([(config, OpinionMatrix(((0,), (1,))))] * jobs, requested)
     assert widths == [width]
@@ -193,3 +173,9 @@ def test_batch_pool_width_is_capped_at_the_cpu_count(
 
 def test_batch_run_empty():
     assert batch_run([]) == ()
+
+
+def test_batch_run_rejects_an_empty_pool():
+    config = SimulationConfig("ave", 1, 20, EXACT)
+    with pytest.raises(ValueError):
+        batch_run([(config, OpinionMatrix(((0, 0), (1, 1))))], 0)
