@@ -143,8 +143,9 @@ class NumericPolicy:
 
         Exact mode maps floats to their exact binary value and parses
         strings ("0.25", "1/3") exactly; float mode rounds to double.
-        Values that have no such form ("1/0", None, or "1e400" in float
-        mode) raise ValueError, as do strings with a decimal exponent
+        Values that have no such form ("1/0", None, True, or "1e400" in
+        float mode) raise ValueError: a JSON ``true`` is no number, though
+        ``bool`` is an ``int``.  So do strings with a decimal exponent
         beyond ``MAX_DECIMAL_EXPONENT``: ``Fraction`` would build
         ``10**|exponent|`` for them.  So do exact values that ``str``
         cannot print under the interpreter's int-string digit limit
@@ -153,6 +154,8 @@ class NumericPolicy:
         """
         number = value
         try:
+            if isinstance(value, bool):
+                raise TypeError
             if isinstance(value, str):
                 found = _EXPONENT.search(value)
                 digits = found[1].replace("_", "").lstrip("0") if found else ""

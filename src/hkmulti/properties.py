@@ -14,6 +14,7 @@ meaningful in exact arithmetic skip float trajectories.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -30,9 +31,9 @@ from .core import (
     OpinionMatrix,
     PropertyViolation,
     Scalar,
+    left_sum,
     matrices_close,
 )
-from .oracle import scalar_hk_step
 from .sim import Trajectory
 from .uniform import linf_neighbors
 
@@ -153,8 +154,36 @@ def check_average_order(traj: Trajectory) -> list[str]:
     return out
 
 
+def _scalar_hk_step(values: Sequence[Scalar], epsilon: Scalar) -> tuple[Scalar, ...]:
+    """One bounded-confidence step on scalars, once per distinct value.
+
+    Each value's neighbors are a window over the sorted distinct values
+    (Blondel, Hendrickx & Tsitsiklis, IEEE TAC 2009), found with two
+    pointers and the predicate of ``oracle.scalar_hk_step``.  A window's
+    sum adds count x value left to right, which regroups an exact sum
+    without changing it.  There are no prefix sums: in float mode a
+    prefix difference can cancel past ``FLOAT_REDUCTION_TOL``.
+    """
+    counts = sorted(Counter(values).items())
+    after = {}
+    lo = hi = 0
+    for a, _ in counts:
+        while abs(a - counts[lo][0]) > epsilon:
+            lo += 1
+        while hi + 1 < len(counts) and abs(a - counts[hi + 1][0]) <= epsilon:
+            hi += 1
+        window = counts[lo : hi + 1]
+        total = left_sum(k * v for v, k in window)
+        after[a] = total / Fraction(sum(k for _, k in window))
+    return tuple(map(after.__getitem__, values))
+
+
 def check_average_reduction(traj: Trajectory) -> list[str]:
-    """Means evolve by the one-dimensional dynamics on means (average-based model)."""
+    """Means evolve by the one-dimensional dynamics on means (average-based model).
+
+    The expected means come from the check's own window search, never
+    from the step kernel's neighbor rule.
+    """
     if traj.config.model != MODEL_AVE:
         return []
     exact = traj.config.policy.is_exact
@@ -162,7 +191,7 @@ def check_average_reduction(traj: Trajectory) -> list[str]:
     means = [m.values for m in traj.means]
     out = []
     for t, (before, got) in enumerate(zip(means, means[1:])):
-        expected = scalar_hk_step(before, traj.config.epsilon)
+        expected = _scalar_hk_step(before, traj.config.epsilon)
         if any(abs(p - q) > tol for p, q in zip(expected, got)):
             out.append(f"step {t}: means do not follow the scalar dynamics")
     return out

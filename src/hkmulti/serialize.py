@@ -152,7 +152,8 @@ def read_trajectory_jsonl(
             raise ValueError(f"{where} must be a JSON object")
         if "influence" in raw:
             lists = json_rows(raw["influence"], f"{where} 'influence'")
-            if not all(isinstance(k, int) for nbrs in lists for k in nbrs):
+            # a JSON true parses to a bool, which is an int but no agent number
+            if not all(type(k) is int for nbrs in lists for k in nbrs):
                 raise ValueError(f"{where} 'influence' must hold agent numbers")
         if "topic_ranges" in raw:
             if not isinstance(raw["topic_ranges"], list):

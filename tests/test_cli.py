@@ -436,9 +436,14 @@ def _set_first(key, edit):
         _set_first("topic_ranges", lambda ranges: ranges[0]),
         _set_first("topic_ranges", lambda ranges: ["wide"] + ranges[1:]),
         _set_first("gamma", lambda gamma: "half"),
+        # JSON booleans are no numbers, though bool is an int
+        _set_first("state", lambda rows: [[True] + row[1:] for row in rows]),
+        _set_first("influence", lambda lists: [[True] + nbrs[1:] for nbrs in lists]),
+        _set_first("topic_ranges", lambda ranges: [False] + ranges[1:]),
+        _set_first("gamma", lambda gamma: True),
     ],
     ids=["influence-flat", "agent-not-int", "ranges-not-list", "range-not-number",
-         "gamma-not-number"],
+         "gamma-not-number", "state-bool", "agent-bool", "range-bool", "gamma-bool"],
 )
 def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
     # the reader keeps only steps and states, but still type-checks the rest
@@ -458,6 +463,26 @@ def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
         argv = ["plotdata", "--trajectory", str(path), "--out-dir", str(tmp_path / "plot")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["epsilon", "entries"])
+def test_verify_rejects_manifest_booleans(tmp_path, capsys, key):
+    # a JSON true once ran as the number 1 and ended in exit 3
+    out_dir = tmp_path / "out"
+    write_lines(tmp_path / "init.csv", "0,0\n1,1\n3,3\n")
+    argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
+            "--init", str(tmp_path / "init.csv"), "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    manifest = read_json(out_dir / "manifest.json")
+    if key == "epsilon":
+        manifest["epsilon"] = True
+    else:
+        manifest["init"]["entries"][1][0] = True
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: True is not a representable number")
 
 
 def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):

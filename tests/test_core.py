@@ -257,6 +257,9 @@ def test_policy_coercion():
         (NumericPolicy.exact(), "1e-4300"),
         (NumericPolicy.exact(), "12e4299"),
         (NumericPolicy.exact(), "2.5E+4300"),
+        # JSON true/false: bool is an int, but no number
+        (NumericPolicy.exact(), True),
+        (NumericPolicy.floating(), False),
     ],
 )
 def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):

@@ -168,6 +168,49 @@ def test_means_follow_scalar_dynamics(x, eps):
     )
 
 
+# values from a small pool repeat, as means do once clusters merge;
+# quarter-grid values and epsilons put neighbors exactly at epsilon
+@st.composite
+def pooled_scalars(draw, opinions):
+    pool = draw(st.lists(opinions, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+quarters = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+quarter_epsilons = st.integers(1, 16).map(lambda k: Fraction(k, 4))
+
+
+@settings(max_examples=300)
+@given(pooled_scalars(quarters), quarter_epsilons)
+def test_reduction_windows_equal_the_oracle_exactly(values, eps):
+    assert properties._scalar_hk_step(values, eps) == scalar_hk_step(values, eps)
+
+
+def test_reduction_windows_cover_ties_and_single_agents():
+    assert properties._scalar_hk_step((5,), 1) == (5,)
+    # 0 and 1 sit exactly epsilon apart, 3 is alone; each repeat counts
+    values = (0, 1, 1, 3, 0, 1)
+    expected = (Fraction(3, 5),) * 3 + (3,) + (Fraction(3, 5),) * 2
+    assert properties._scalar_hk_step(values, 1) == expected
+    assert scalar_hk_step(values, 1) == expected
+
+
+@settings(max_examples=300)
+@given(
+    pooled_scalars(
+        st.one_of(
+            quarters.map(float), st.sampled_from([0.0, -0.0]), st.floats(-2, 2)
+        )
+    ),
+    quarter_epsilons.map(float),
+)
+def test_reduction_windows_agree_with_the_oracle_in_float(values, eps):
+    fast = properties._scalar_hk_step(values, eps)
+    naive = scalar_hk_step(values, eps)
+    assert len(fast) == len(naive)
+    assert all(abs(p - q) <= properties.FLOAT_REDUCTION_TOL for p, q in zip(fast, naive))
+
+
 @given(exact_matrices(), epsilons)
 def test_naive_oracle_matches_production(x, eps):
     assert naive_model_step(x, eps, "ave").entries == ave_step(x, eps).next_state.entries
@@ -317,6 +360,29 @@ def test_averaging_check_catches_exact_tampering(model):
     dropped = dataclasses.replace(report, influence=_drop_pair(report.influence, 0, other))
     broken = dataclasses.replace(traj, reports=(dropped,) + traj.reports[1:])
     assert check_trajectory(broken, ["averaging-matrix"])[0] == message
+
+
+@pytest.mark.parametrize(
+    "policy, epsilon, move, caught",
+    [
+        (EXACT, Fraction(3, 20), Fraction(1, 10**30), True),
+        (NumericPolicy.floating(), 0.15, 1e-6, True),
+        (NumericPolicy.floating(), 0.15, 1e-11, False),
+    ],
+    ids=["exact", "float", "float-within-tolerance"],
+)
+def test_average_reduction_catches_a_moved_mean(policy, epsilon, move, caught):
+    initial = sample_initial(20, 2, (-1, 1), 1, policy)
+    traj = run(SimulationConfig("ave", epsilon, 50, policy), initial)
+    assert traj.n_steps > 2
+    assert check_trajectory(traj, ["average-reduction"]) == []
+    # every opinion of agent 1 in state 2 moves, so its mean moves as much
+    rows = [list(row) for row in traj.states[2].entries]
+    rows[0] = [v + move for v in rows[0]]
+    moved = traj.states[:2] + (OpinionMatrix(tuple(map(tuple, rows))),) + traj.states[3:]
+    found = check_trajectory(dataclasses.replace(traj, states=moved), ["average-reduction"])
+    message = "average-reduction: step 1: means do not follow the scalar dynamics"
+    assert (message in found) == caught
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
