@@ -11,7 +11,9 @@ interval structure of one-dimensional Hegselmann-Krause dynamics
 float predicate too: rounding is monotone, so for b <= a the rounded
 ``a - b`` does not decrease as b decreases or as a increases (likewise
 for b >= a).  Each window is one interval, and both its ends are
-nondecreasing along the sorted means.
+nondecreasing along the sorted means.  Equal values sit side by side
+and get equal windows, so the same holds over any sorted column with
+repeats, which is how the ``uniform`` rule finds its per-topic windows.
 """
 
 from __future__ import annotations
@@ -26,25 +28,18 @@ from .core import (
     disagreement_seminorm,
     neighbor_means,
     row_average,
+    sorted_windows,
 )
 
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
     # classes are the distinct means in ascending order (0.0 and -0.0 are
-    # one); abs(a - b) <= epsilon holds on a window of them whose ends never
-    # move back as a grows (monotone rounding), so two pointers find every
-    # window.  The lists share one int per class to keep reports small
+    # one), so each window of means is a run of classes.  The lists share
+    # one int per class to keep reports small
     means = sorted(set(values))
     rank = {a: c for c, a in enumerate(means)}
     classes = list(range(len(means)))
-    windows = []
-    lo = hi = 0
-    for a in means:
-        while abs(a - means[lo]) > epsilon:
-            lo += 1
-        while hi + 1 < len(means) and abs(a - means[hi + 1]) <= epsilon:
-            hi += 1
-        windows.append(classes[lo : hi + 1])
+    windows = map(classes.__getitem__, sorted_windows(means, epsilon))
     return InfluenceMatrix(list(map(rank.__getitem__, values)), windows)
 
 

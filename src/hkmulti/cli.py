@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -67,6 +68,8 @@ MAX_SEEDS = 100_000
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
 TOLERANCE_KEYS = ("tau_fix", "tau_cluster")
 BOX_INIT_KEYS = ("n_agents", "n_topics", "box", "seed", "generator")
+# a negative decimal or scientific number is a flag's value, never a flag
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?\Z")
 
 
 class UsageError(Exception):
@@ -190,6 +193,12 @@ class RunManifest:
 
 
 class Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # before Python 3.13 argparse takes only plain decimals such as -2.5
+        # for negative numbers, so "--box -1e7 1e7" read -1e7 as a flag
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on bad flags; the contract here is exit 1
     def error(self, message: str):
         raise UsageError(message)

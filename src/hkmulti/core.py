@@ -99,6 +99,26 @@ def distinct(values: Iterable[K]) -> tuple[list[K], list[int]]:
     return list(index), labels
 
 
+def sorted_windows(values: Sequence[Scalar], epsilon: Scalar) -> list[slice]:
+    """For each of the ascending ``values``, the slice of positions within epsilon of it.
+
+    ``abs(a - b) <= epsilon`` holds on one run of positions whose ends
+    never move back as ``a`` grows, so two pointers find every window;
+    in float mode too, by the monotone rounding argument of
+    :mod:`hkmulti.avemodel`.  Repeated values get equal windows.
+    """
+    out = []
+    lo = 0
+    end = 1
+    for a in values:
+        while abs(a - values[lo]) > epsilon:
+            lo += 1
+        while end < len(values) and abs(a - values[end]) <= epsilon:
+            end += 1
+        out.append(slice(lo, end))
+    return out
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Arithmetic mode plus the tolerances used by comparisons.

@@ -45,12 +45,15 @@ def _slack(traj: Trajectory) -> Scalar:
     return 0 if traj.config.policy.is_exact else FLOAT_SLACK
 
 
-def _scaled_slack(traj: Trajectory, t: int) -> Scalar:
-    """Slack for step ``t``: float rounding grows with the opinions."""
-    if traj.config.policy.is_exact:
-        return 0
+def _opinion_scale(traj: Trajectory, t: int) -> Scalar:
+    """Largest |opinion| of state ``t``, at least 1: float rounding grows with it."""
     # the largest |opinion| of a state is at an end of some topic's hull
-    return FLOAT_SLACK * max(1, max(abs(v) for hull in traj.hulls[t] for v in hull))
+    return max(1, max(abs(v) for hull in traj.hulls[t] for v in hull))
+
+
+def _scaled_slack(traj: Trajectory, t: int) -> Scalar:
+    """Slack for step ``t``."""
+    return 0 if traj.config.policy.is_exact else FLOAT_SLACK * _opinion_scale(traj, t)
 
 
 def _topic_steps(traj: Trajectory) -> Iterator[tuple]:
@@ -183,15 +186,28 @@ def check_average_reduction(traj: Trajectory) -> list[str]:
 
     The expected means come from the check's own window search, never
     from the step kernel's neighbor rule.
+
+    Exact means must match exactly.  In float mode both sides are rounded
+    sums: a recorded mean adds m topics of a row that averaged k neighbor
+    rows, an expected one adds a window of k means, each of them m topics.
+    A sum of n terms of size at most s, divided by n, is off by at most
+    about gamma_n * s, where gamma_n = n*u / (1 - n*u) and u = 2**-53
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, sections 3.1 and 4.2), so each side is within a few
+    gamma_(k+m) * s of the exact means, s the largest |opinion| of the
+    two states.  For k + m up to 10**5 that is below 1e-10 * s, so the
+    tolerance is ``FLOAT_REDUCTION_TOL`` times that scale, and never
+    less than ``FLOAT_REDUCTION_TOL``.
     """
     if traj.config.model != MODEL_AVE:
         return []
     exact = traj.config.policy.is_exact
-    tol = 0 if exact else FLOAT_REDUCTION_TOL
     means = [m.values for m in traj.means]
     out = []
     for t, (before, got) in enumerate(zip(means, means[1:])):
         expected = _scalar_hk_step(before, traj.config.epsilon)
+        scale = max(_opinion_scale(traj, t), _opinion_scale(traj, t + 1))
+        tol = 0 if exact else FLOAT_REDUCTION_TOL * scale
         if any(abs(p - q) > tol for p, q in zip(expected, got)):
             out.append(f"step {t}: means do not follow the scalar dynamics")
     return out

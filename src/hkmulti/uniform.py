@@ -8,7 +8,9 @@ average-based model; only the neighbor test differs.
 
 from __future__ import annotations
 
-from operator import sub
+from functools import reduce
+from itertools import compress, count
+from operator import and_, or_
 from typing import Optional
 
 from .core import (
@@ -19,34 +21,52 @@ from .core import (
     check_epsilon,
     distinct,
     neighbor_means,
+    sorted_windows,
 )
+
+# maps the digits of bin() to the bytes 0 and 1, for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _topic_windows(x: OpinionMatrix, epsilon: Scalar) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each agent's class, and each class's per-topic windows as bitsets of classes.
+
+    Classes are the distinct rows in first-seen order.  On each topic the
+    classes sorted by value have one window each (:func:`sorted_windows`),
+    and a window is a run of that order, so its bitset is the difference
+    of two prefix bitsets.
+    """
+    check_epsilon(epsilon)
+    rows, labels = distinct(x.entries)
+    per_topic = []
+    for column in zip(*rows):
+        order = sorted(range(len(rows)), key=column.__getitem__)
+        prefix = [0]
+        for c in order:
+            prefix.append(prefix[-1] | 1 << c)
+        masks = [0] * len(rows)
+        for c, w in zip(order, sorted_windows([column[c] for c in order], epsilon)):
+            masks[c] = prefix[w.stop] ^ prefix[w.start]
+        per_topic.append(masks)
+    return labels, list(zip(*per_topic))
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     """Influence matrix: neighbors iff within epsilon on every topic.
 
     Agents with equal rows have equal neighbors, so only the distinct
-    rows are tested.  The sweep visits them in order of topic 0 and
-    tests each row only against the later ones within epsilon on that
-    topic.  Subtraction is monotone and ``abs(a - b) == b - a`` exactly
-    when ``b >= a``, so the first later row beyond epsilon on topic 0
-    ends the scan without dropping a neighbor; each pair is tested once,
-    both ways at once.
+    rows are tested.  ``max(|a_j - b_j|) <= epsilon`` holds exactly when
+    every ``|a_j - b_j| <= epsilon`` does, so a class's neighbors are the
+    intersection of its per-topic windows, each found over the classes
+    sorted on that topic with the unchanged predicate.
     """
-    check_epsilon(epsilon)
-    rows, labels = distinct(x.entries)
-    nbrs = [[c] for c in range(len(rows))]
-    order = sorted(range(len(rows)), key=lambda c: rows[c][0])
-    for start, i in enumerate(order, 1):
-        row_i = rows[i]
-        for k in order[start:]:
-            row_k = rows[k]
-            if row_k[0] - row_i[0] > epsilon:
-                break
-            if max(map(abs, map(sub, row_i, row_k))) <= epsilon:
-                nbrs[i].append(k)
-                nbrs[k].append(i)
-    return InfluenceMatrix(labels, list(map(sorted, nbrs)))
+    labels, windows = _topic_windows(x, epsilon)
+    return InfluenceMatrix(labels, [_members(reduce(and_, w)) for w in windows])
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
@@ -61,18 +81,13 @@ def one_step_preservation_hypothesis(x: OpinionMatrix, epsilon: Scalar) -> bool:
     Under this condition a single step cannot swap the relative order of
     any two agents on any topic.  Pairs that are far on one topic but
     close on another (non-neighbors all the same) are exactly the ones
-    that can swap.
+    that can swap.  Equal rows are neighbors, so the test runs over the
+    distinct rows: it holds iff, for every class, the classes close on
+    every topic (the AND of its windows) are those close on some topic
+    (their OR).
     """
-    check_epsilon(epsilon)
-    rows = x.entries
-    n = x.n_agents
-    for i in range(n):
-        for k in range(i + 1, n):
-            if max(map(abs, map(sub, rows[i], rows[k]))) <= epsilon:
-                continue
-            if any(abs(p - q) <= epsilon for p, q in zip(rows[i], rows[k])):
-                return False
-    return True
+    _, windows = _topic_windows(x, epsilon)
+    return all(reduce(and_, w) == reduce(or_, w) for w in windows)
 
 
 def globally_ordered(x: OpinionMatrix) -> Optional[tuple[int, ...]]:

@@ -148,6 +148,41 @@ def test_run_is_reproducible_byte_for_byte(tmp_path):
         ).read_bytes()
 
 
+def test_large_scale_float_run_verifies(tmp_path, capsys):
+    # average-reduction once held these means to an absolute 1e-9 and exited 3
+    out = tmp_path / "large"
+    argv = ["run", "--model", "ave", "--mode", "float", "--agents", "60", "--topics", "3"]
+    argv += ["--epsilon", "3e6", "--box", "-10000000", "10000000", "--seed", "2"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e7", "1e7"), ("-1E+7", "2.5e7"), ("-.5e1", "-1e-3"), ("-2.", "2")])
+def test_box_takes_negative_numbers_in_any_float_form(tmp_path, lo, hi):
+    out = tmp_path / "box"
+    argv = ["run", "--model", "ave", "--epsilon", "0.3", "--agents", "4", "--topics", "2"]
+    assert main(argv + ["--seed", "1", "--box", lo, hi, "--out-dir", str(out)]) == 0
+    assert read_json(out / "manifest.json")["init"]["box"] == [[float(lo), float(hi)]] * 2
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        (["-1e7", "abc"], "invalid float value: 'abc'"),
+        (["-1e7"], "expected 2 arguments"),
+        (["-1e7", "--seed", "1"], "expected 2 arguments"),
+    ],
+)
+def test_bad_box_exits_1(tmp_path, capsys, box, message):
+    argv = ["run", "--model", "ave", "--epsilon", "0.3", "--agents", "4", "--topics", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "x"), "--box"] + box) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --box: ") and message in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_usage_errors_exit_1(tmp_path, three_agents):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

@@ -26,7 +26,7 @@ from hkmulti import (
     uniform_step,
 )
 from hkmulti.avemodel import _neighbors_from_averages
-from hkmulti.core import matrices_close, neighbor_means
+from hkmulti.core import matrices_close, neighbor_means, sorted_windows
 from hkmulti.oracle import (
     RowStochasticMatrix,
     induced_disagreement_seminorm,
@@ -402,6 +402,18 @@ def test_ave_neighbors_are_windows_over_the_sorted_means(case):
     assert phi.class_neighbors == tuple(
         tuple(d for d, b in enumerate(means) if abs(a - b) <= epsilon) for a in means
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean_cases())
+@example(((0.0, -0.0, 0.0, 0.5, 0.5, 1.0, 1.0), 0.5))
+@example(((Fraction(1, 4),), Fraction(1, 4)))
+def test_sorted_windows_equal_brute_force_with_repeats(case):
+    values, epsilon = case
+    ordered = sorted(values)
+    positions = range(len(ordered))
+    for a, window in zip(ordered, sorted_windows(ordered, epsilon)):
+        assert [q for q in positions if abs(a - ordered[q]) <= epsilon] == list(positions[window])
 
 
 @pytest.mark.parametrize("exact", [True, False])

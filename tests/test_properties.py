@@ -385,6 +385,23 @@ def test_average_reduction_catches_a_moved_mean(policy, epsilon, move, caught):
     assert (message in found) == caught
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_average_reduction_scales_its_tolerance_with_the_opinions(seed):
+    # an absolute 1e-9 tolerance flagged 3 of these 5 valid runs
+    scale = 1e7
+    policy = NumericPolicy.floating()
+    initial = sample_initial(60, 3, (-scale, scale), seed, policy)
+    traj = run(SimulationConfig("ave", 0.15 * scale, 50, policy), initial)
+    assert traj.n_steps > 1
+    assert check_trajectory(traj, ["average-reduction"]) == []
+    # a move of 1e-6 times the scale is still caught
+    rows = [list(row) for row in traj.states[1].entries]
+    rows[0] = [v + 1e-6 * scale for v in rows[0]]
+    moved = traj.states[:1] + (OpinionMatrix(tuple(map(tuple, rows))),) + traj.states[2:]
+    found = check_trajectory(dataclasses.replace(traj, states=moved), ["average-reduction"])
+    assert "average-reduction: step 0: means do not follow the scalar dynamics" in found
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_float_checks_scale_their_slack_with_the_opinions(seed):
     # at consensus float gamma rounds just below 0, so an absolute 1e-12

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,13 +67,54 @@ def sweep_cases(draw):
 EDGES = OpinionMatrix(((0.5, 0.0), (-0.0, 1.0), (0.0, 0.25), (0.5, 0.5), (0.75, 0.0)))
 
 
+# gaps of exactly epsilon on topics 1 and 2, and distinct rows that share
+# a value on every topic
+TIES = OpinionMatrix(
+    ((0.0, 0.0, 0.25), (0.25, 0.5, 0.25), (0.0, 0.5, 0.75), (0.5, 0.0, -0.25))
+)
+# 0.0 and -0.0 on topics 1 and 2: the first two rows are one class
+SIGNED_ZEROS = OpinionMatrix(
+    ((1.0, 0.0, -0.0), (1.0, -0.0, 0.0), (0.5, -0.0, 0.5), (0.75, 0.5, -0.0))
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sweep_cases())
 @example((EDGES, 0.5))
 @example((EDGES, 1.0))
+@example((TIES, 0.5))
+@example((TIES, 0.25))
+@example((SIGNED_ZEROS, 0.5))
+@example((OpinionMatrix(((0, 0, Fraction(3, 10)), (0, Fraction(1, 10), 0))), Fraction(3, 10)))
+@example((OpinionMatrix(((0.3, -0.7),)), 0.1))
+@example((OpinionMatrix(((Fraction(1, 3),),)), Fraction(1, 10)))
 def test_linf_sweep_equals_all_pairs(case):
     x, epsilon = case
     assert linf_neighbors(x, epsilon).entries == _all_pairs_neighbors(x, epsilon)
+
+
+def _all_pairs_hypothesis(x, epsilon):
+    rows = x.entries
+    n = x.n_agents
+    for i in range(n):
+        for k in range(i + 1, n):
+            if max(map(abs, map(sub, rows[i], rows[k]))) <= epsilon:
+                continue
+            if any(abs(p - q) <= epsilon for p, q in zip(rows[i], rows[k])):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+@example((EDGES, 0.5))
+@example((TIES, 0.5))
+@example((SIGNED_ZEROS, 0.5))
+@example((OpinionMatrix(((0.0, 0.0), (0.2, 0.2), (5.0, 5.0))), 1.0))
+@example((OpinionMatrix(((0.3, -0.7),)), 0.1))
+def test_preservation_hypothesis_equals_all_pairs(case):
+    x, epsilon = case
+    assert one_step_preservation_hypothesis(x, epsilon) == _all_pairs_hypothesis(x, epsilon)
 
 
 def test_uniform_step_example():
