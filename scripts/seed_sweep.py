@@ -27,7 +27,6 @@ def main():
     ap.add_argument("--box", type=float, nargs=2, default=(-1.0, 1.0))
     ap.add_argument("--max-steps", type=int, default=200)
     ap.add_argument("--mode", choices=("exact", "float"), default="float")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None, help="optional per-seed CSV path")
     args = ap.parse_args()
 
@@ -43,7 +42,7 @@ def main():
         (config, sample_initial(args.agents, args.topics, tuple(args.box), seed, policy))
         for seed in range(args.seeds)
     ]
-    trajectories = batch_run(jobs, max_threads=args.threads)
+    trajectories = batch_run(jobs)
 
     rows = []
     steps = Counter()

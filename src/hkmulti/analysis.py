@@ -174,8 +174,11 @@ def classify_outcome(
 ) -> OutcomeReport:
     """Classify a state as consensus, clustering, or not yet terminal.
 
-    The fixed-point test depends on the model because the two dynamics
-    have different neighbor rules.  For the average-based model a
+    ``termination_step`` given means the caller has observed ``x`` as a
+    fixed point at that step (as ``sim.run`` does), so ``x`` is not
+    stepped again.  When it is None, one step of the model tests the
+    fixed point; that covers a bare state file and the last state of a
+    budget-limited run.  For the average-based model a
     clustered terminal state must keep adjacent cluster means more than
     epsilon apart; a violation is raised rather than reported because it
     can only come from broken arithmetic or tolerances.  No such check
@@ -184,7 +187,9 @@ def classify_outcome(
     """
     check_epsilon(epsilon)
     step = model_step(model)
-    if not matrices_close(step(x, epsilon).next_state, x, policy.tau_fix):
+    if termination_step is None and not matrices_close(
+        step(x, epsilon).next_state, x, policy.tau_fix
+    ):
         return OutcomeReport(
             model=model,
             outcome=OUTCOME_NOT_TERMINATED,

@@ -267,6 +267,12 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def _summary_dict(traj: Trajectory, policy: NumericPolicy) -> dict:
+    """The run's ``summary.json``: its outcome plus run metadata.
+
+    A terminated run hands its termination step to the classifier, which
+    then takes the final state as the fixed point ``run`` observed and
+    does not step it again.
+    """
     report = classify_outcome(
         traj.final_state,
         traj.config.epsilon,
@@ -353,7 +359,7 @@ def cmd_batch(args) -> int:
         (config, sample_initial(args.agents, args.topics, bounds, seed, policy))
         for seed in seeds
     ]
-    trajectories = batch_run(jobs, args.threads)
+    trajectories = batch_run(jobs)
 
     rows = []
     for index, (seed, traj) in enumerate(zip(seeds, trajectories)):
@@ -491,7 +497,12 @@ def build_parser() -> Parser:
         "--seeds", required=True, help=f"START:END (at most {MAX_SEEDS}) or comma list"
     )
     p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="no effect: runs are sequential; kept so older command lines parse",
+    )
     p.add_argument("--out", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=cmd_batch)
 

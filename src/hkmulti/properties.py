@@ -278,7 +278,12 @@ def check_epsilon_chain_link(traj: Trajectory) -> list[str]:
 
 
 def check_terminal_classification(traj: Trajectory) -> list[str]:
-    """Terminated runs end in a state the classifier accepts as terminal."""
+    """Terminated runs end in a state the classifier accepts as terminal.
+
+    No termination step is passed, so the classifier steps the final
+    state itself: an independent test of the fixed point that the run
+    reported.
+    """
     if not traj.terminated:
         return []
     out = []
@@ -290,7 +295,6 @@ def check_terminal_classification(traj: Trajectory) -> list[str]:
             traj.config.epsilon,
             traj.config.policy,
             traj.config.model,
-            traj.termination_step,
         )
     except PropertyViolation as exc:
         return out + [str(exc)]

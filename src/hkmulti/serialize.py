@@ -135,9 +135,10 @@ def read_trajectory_jsonl(
 ) -> list[StepRecord]:
     """Parse a trajectory file into its steps and states.
 
-    The diagnostic keys are type-checked and not kept: the replay
-    recomputes them.  ``text``, when given, is the file's content already
-    read by the caller.
+    Every record needs ``step`` and ``state``, and every state must have
+    record 0's agents and topics.  The diagnostic keys are type-checked
+    and not kept: the replay recomputes them.  ``text``, when given, is
+    the file's content already read by the caller.
     """
     if text is None:
         text = Path(path).read_text(encoding="utf-8")
@@ -150,6 +151,9 @@ def read_trajectory_jsonl(
         raw = _load(line, where)
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be a JSON object")
+        for key in ("step", "state"):
+            if key not in raw:
+                raise ValueError(f"{where} has no {key!r} key")
         if "influence" in raw:
             lists = json_rows(raw["influence"], f"{where} 'influence'")
             # a JSON true parses to a bool, which is an int but no agent number
@@ -164,7 +168,15 @@ def read_trajectory_jsonl(
             policy.coerce(raw["gamma"])
         step = json_int(raw["step"], f"{where} 'step'")
         rows = policy.coerce_rows(json_rows(raw["state"], f"{where} 'state'"))
-        records.append(StepRecord(step, OpinionMatrix(rows)))
+        state = OpinionMatrix(rows)
+        if not records:
+            shape = (state.n_agents, state.n_topics)
+        elif (state.n_agents, state.n_topics) != shape:
+            raise ValueError(
+                f"{where} 'state' is {state.n_agents} agents x {state.n_topics} topics,"
+                f" record 0 is {shape[0]} x {shape[1]}"
+            )
+        records.append(StepRecord(step, state))
     if not records:
         raise ValueError(f"no records in {path}")
     return records

@@ -7,9 +7,7 @@ be reproduced bit for bit from those ingredients.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -174,19 +172,10 @@ def normalize_box(box: Sequence, n_topics: int) -> tuple[tuple[float, float], ..
 
 def batch_run(
     jobs: Sequence[tuple[SimulationConfig, OpinionMatrix]],
-    max_threads: Optional[int] = None,
 ) -> tuple[Trajectory, ...]:
-    """Run independent jobs on a thread pool, results in job order.
+    """Run independent jobs one after another, results in job order.
 
-    Pool width: ``max_threads`` if given, else the CPU count; never more
-    than the CPU count or the number of jobs.
+    A plain loop: the steps are pure Python, so threads would only take
+    turns on the GIL.
     """
-    if not jobs:
-        return ()
-    cpus = os.cpu_count() or 1
-    limit = cpus if max_threads is None else max_threads
-    if limit < 1:
-        raise ValueError("thread limit must be at least 1")
-    limit = min(limit, len(jobs), cpus)
-    with ThreadPoolExecutor(max_workers=limit) as pool:
-        return tuple(pool.map(lambda job: run(job[0], job[1]), jobs))
+    return tuple(run(config, x) for config, x in jobs)

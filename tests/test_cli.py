@@ -453,10 +453,23 @@ def test_verify_compares_float_records_with_the_replay(tmp_path, capsys, tamper)
     assert f"step {step}: record differs from replay" in capsys.readouterr().err
 
 
+def _set_record(index, key, edit):
+    def tamper(lines):
+        record = json.loads(lines[index])
+        record[key] = edit(record[key])
+        lines[index] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    return tamper
+
+
 def _set_first(key, edit):
+    return _set_record(0, key, edit)
+
+
+def _drop_from_first(key):
     def tamper(lines):
         first = json.loads(lines[0])
-        first[key] = edit(first[key])
+        del first[key]
         lines[0] = json.dumps(first, sort_keys=True, separators=(",", ":"))
 
     return tamper
@@ -476,12 +489,19 @@ def _set_first(key, edit):
         _set_first("influence", lambda lists: [[True] + nbrs[1:] for nbrs in lists]),
         _set_first("topic_ranges", lambda ranges: [False] + ranges[1:]),
         _set_first("gamma", lambda gamma: True),
+        # every record must have record 0's agents x topics
+        _set_record(1, "state", lambda rows: [row[:1] for row in rows]),
+        _set_record(1, "state", lambda rows: rows[:-1]),
+        _drop_from_first("state"),
+        _drop_from_first("step"),
     ],
     ids=["influence-flat", "agent-not-int", "ranges-not-list", "range-not-number",
-         "gamma-not-number", "state-bool", "agent-bool", "range-bool", "gamma-bool"],
+         "gamma-not-number", "state-bool", "agent-bool", "range-bool", "gamma-bool",
+         "fewer-topics", "fewer-agents", "no-state", "no-step"],
 )
 def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
     # the reader keeps only steps and states, but still type-checks the rest
+    # and rejects a record whose shape or keys do not fit
     out_dir = tmp_path / "out"
     argv = ["run", "--model", "ave", "--epsilon", "1/2", "--mode", "exact",
             "--agents", "5", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
@@ -588,6 +608,48 @@ def test_batch_sweep(tmp_path):
     assert [row["index"] for row in payload["jobs"]] == list(range(8))
     assert all(row["termination_step"] is not None for row in payload["jobs"])
     assert payload["n_agents"] == 10
+
+
+def _count_model_steps(monkeypatch):
+    """Wrap both model steps in ``hkmulti.sim``; returns the call list."""
+    from hkmulti import sim
+
+    calls = []
+    for name in ("ave_step", "uniform_step"):
+        step = getattr(sim, name)
+
+        def counted(x, epsilon, step=step, name=name):
+            calls.append(name)
+            return step(x, epsilon)
+
+        monkeypatch.setattr(sim, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_run_steps_the_model_only_inside_the_run(tmp_path, monkeypatch, model):
+    # the summary classifies the fixed point the run observed, without a re-step
+    calls = _count_model_steps(monkeypatch)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--model", model, "--epsilon", "1/2", "--mode", "exact",
+            "--agents", "8", "--topics", "2", "--seed", "4", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    summary = read_json(out_dir / "summary.json")
+    assert summary["terminated"] is True
+    assert len(calls) == summary["n_steps"]
+
+
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_batch_steps_the_model_only_inside_the_runs(tmp_path, monkeypatch, model):
+    calls = _count_model_steps(monkeypatch)
+    target = tmp_path / "batch.json"
+    argv = ["batch", "--model", model, "--epsilon", "0.5", "--mode", "float",
+            "--agents", "8", "--topics", "2", "--seeds", "0:6", "--threads", "2",
+            "--out", str(target)]
+    assert main(argv) == 0
+    payload = read_json(target)
+    assert payload["all_terminated"] is True
+    assert len(calls) == sum(row["n_steps"] for row in payload["jobs"])
 
 
 def test_batch_comma_seeds_and_budget(tmp_path):

@@ -332,6 +332,19 @@ def test_averaging_check_equals_the_dense_product(case):
         assert check_trajectory(traj, ["averaging-matrix"]) == []
 
 
+def test_terminal_classification_steps_the_final_state_itself():
+    # the last two states are equal, but ((0,), (1,)) steps to their mean:
+    # the check must not take the run's termination step on trust
+    x = OpinionMatrix(((0,), (1,)))
+    report = ave_step(x, 1)
+    assert report.next_state != x
+    config = SimulationConfig("ave", 1, 5, EXACT)
+    traj = Trajectory(config, (x, x), (StepReport(x, report.influence),), True, 0)
+    assert check_trajectory(traj, ["terminal-classification"]) == [
+        "terminal-classification: classifier does not accept the final state as a fixed point"
+    ]
+
+
 def _drop_pair(phi, i, k):
     """``phi`` without the symmetric link between agents i and k."""
     adjacency = [list(row) for row in phi.entries]

@@ -83,6 +83,23 @@ def test_trajectory_jsonl_exact_round_trip(tmp_path):
     assert lines[-1].keys() == {"step", "state"}
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ('{"step":1,"state":[[1],[3]]}', "record 1 'state' is 2 agents x 1 topics, record 0 is 2 x 2"),
+        ('{"step":1,"state":[[1,2]]}', "record 1 'state' is 1 agents x 2 topics, record 0 is 2 x 2"),
+        ('{"step":1}', "record 1 has no 'state' key"),
+        ('{"state":[[1,2],[3,4]]}', "record 1 has no 'step' key"),
+    ],
+    ids=["fewer-topics", "fewer-agents", "no-state", "no-step"],
+)
+def test_trajectory_reader_names_a_bad_record(tmp_path, second, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"step":0,"state":[[1,2],[3,4]]}\n' + second + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_jsonl(path, FLOAT)
+
+
 def test_trajectory_jsonl_uses_one_based_agents(tmp_path):
     config = SimulationConfig("uniform", 1.0, 20, FLOAT)
     traj = run(config, OpinionMatrix(((0.0, 1.0), (0.5, 0.5), (2.0, 0.0))))

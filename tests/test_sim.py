@@ -8,6 +8,7 @@ from hkmulti import (
     OpinionMatrix,
     SimulationConfig,
     batch_run,
+    classify_outcome,
     run,
     sample_initial,
 )
@@ -127,55 +128,35 @@ def test_batch_run_matches_sequential_runs():
     jobs = [
         (config, sample_initial(6, 2, (-1.0, 1.0), seed, FLOAT)) for seed in range(8)
     ]
-    parallel = batch_run(jobs, max_threads=4)
+    parallel = batch_run(jobs)
     for job, traj in zip(jobs, parallel):
         solo = run(*job)
         assert traj.states == solo.states
         assert traj.termination_step == solo.termination_step
 
 
-@pytest.mark.parametrize(
-    "requested, jobs, cpus, width",
-    [
-        (100000, 5, 2, 2),
-        (None, 5, 3, 3),
-        (None, 5, 4, 4),
-        (8, 3, 16, 3),
-        (1, 5, 4, 1),
-        (None, 5, None, 1),
-    ],
-)
-def test_batch_pool_width_is_capped_at_the_cpu_count(monkeypatch, requested, jobs, cpus, width):
-    widths = []
-
-    class RecordingPool:
-        """Records the pool width and runs the jobs inline: no thread starts."""
-
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("hkmulti.sim.ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr("hkmulti.sim.os.cpu_count", lambda: cpus)
-    config = SimulationConfig("ave", 1, 20, EXACT)
-    out = batch_run([(config, OpinionMatrix(((0,), (1,))))] * jobs, requested)
-    assert widths == [width]
-    assert len(out) == jobs and all(t.terminated for t in out)
-
-
 def test_batch_run_empty():
     assert batch_run([]) == ()
 
 
-def test_batch_run_rejects_an_empty_pool():
-    config = SimulationConfig("ave", 1, 20, EXACT)
-    with pytest.raises(ValueError):
-        batch_run([(config, OpinionMatrix(((0, 0), (1, 1))))], 0)
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_exact_and_float_runs_terminate_alike(model):
+    # epsilon 3/8 is dyadic, so 0.375 is the same threshold in both modes,
+    # and sample_initial draws the same dyadic starts for both
+    def ending(policy, epsilon, seed):
+        traj = run(
+            SimulationConfig(model, epsilon, 200, policy),
+            sample_initial(12, 2, (-1.0, 1.0), seed, policy),
+        )
+        assert traj.terminated, (policy.mode, seed)
+        report = classify_outcome(
+            traj.final_state, epsilon, policy, model, traj.termination_step
+        )
+        return traj.termination_step, report.outcome, report.partition.n_blocks
+
+    differ = [
+        seed
+        for seed in range(200)
+        if ending(EXACT, Fraction(3, 8), seed) != ending(FLOAT, 0.375, seed)
+    ]
+    assert differ == []
