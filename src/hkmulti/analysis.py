@@ -11,20 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from operator import and_
+from typing import Iterable, Optional, Sequence
 
 from .core import (
-    K,
     MODEL_AVE,
     NumericPolicy,
     OpinionMatrix,
     PropertyViolation,
     Scalar,
     check_epsilon,
-    distinct,
     left_sum,
+    mask_members,
     matrices_close,
     row_average,
+    topic_windows,
 )
 from .sim import model_step
 
@@ -75,19 +77,20 @@ def refines(finer: Partition, coarser: Partition) -> bool:
     """True when every block of ``finer`` sits inside one block of ``coarser``."""
     if finer.n_items != coarser.n_items:
         raise ValueError("partitions cover different item counts")
-    coarse = [set(b) for b in coarser.blocks]
-    return all(any(set(b) <= c for c in coarse) for b in finer.blocks)
+    block_of = {i: b for b, block in enumerate(coarser.blocks) for i in block}
+    return all(len({block_of[i] for i in block}) == 1 for block in finer.blocks)
 
 
-def _group(keys: Sequence[K], close: Callable[[K, K], bool]) -> Partition:
-    """Agents grouped by the transitive closure of ``close`` on their keys.
+def _group(rows: Iterable[Sequence[Scalar]], tol: Scalar) -> Partition:
+    """Agents grouped by the transitive closure of rows within ``tol`` on every topic.
 
-    A union-find, so float tolerance closeness (not transitive) still
-    yields a genuine partition.  It runs over the distinct keys only:
-    every tolerance is nonnegative, so equal keys are always close.
+    A union-find over the distinct rows, joining each to the AND of its
+    per-topic windows (:func:`hkmulti.core.topic_windows`, the ``uniform``
+    rule's search) and testing no other pair; so float tolerance
+    closeness (not transitive) still yields a genuine partition.
     """
-    values, labels = distinct(keys)
-    parent = list(range(len(values)))
+    labels, windows = topic_windows(rows, tol)
+    parent = list(range(len(windows)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -95,12 +98,12 @@ def _group(keys: Sequence[K], close: Callable[[K, K], bool]) -> Partition:
             i = parent[i]
         return i
 
-    for i, a in enumerate(values):
-        for k in range(i + 1, len(values)):
-            if close(a, values[k]):
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[rk] = ri
+    for c, w in enumerate(windows):
+        # the other classes close to c; usually none, when clusters are apart
+        for d in mask_members(reduce(and_, w) ^ (1 << c)):
+            rc, rd = find(c), find(d)
+            if rc != rd:
+                parent[rd] = rc
     groups: dict[int, list[int]] = {}
     for agent, label in enumerate(labels):
         groups.setdefault(find(label), []).append(agent)
@@ -109,10 +112,7 @@ def _group(keys: Sequence[K], close: Callable[[K, K], bool]) -> Partition:
 
 def opinion_partition(x: OpinionMatrix, policy: NumericPolicy) -> Partition:
     """Group agents whose full opinion rows agree within tau_cluster."""
-    tol = policy.tau_cluster
-    return _group(
-        x.entries, lambda a, b: all(abs(p - q) <= tol for p, q in zip(a, b))
-    )
+    return _group(x.entries, policy.tau_cluster)
 
 
 def per_topic_partition(x: OpinionMatrix, topic: int, policy: NumericPolicy) -> Partition:
@@ -121,8 +121,7 @@ def per_topic_partition(x: OpinionMatrix, topic: int, policy: NumericPolicy) -> 
     The full-row grouping always refines each of these, and can be
     strictly finer when clusters share a coordinate.
     """
-    tol = policy.tau_cluster
-    return _group(x.column(topic), lambda a, b: abs(a - b) <= tol)
+    return _group(zip(x.column(topic)), policy.tau_cluster)
 
 
 def cluster_means(x: OpinionMatrix, partition: Partition) -> OpinionMatrix:
@@ -156,13 +155,13 @@ class OutcomeReport:
     model: str
     outcome: str
     terminated: bool
-    termination_step: Optional[int]
-    partition: Optional[Partition]
-    cluster_matrix: Optional[OpinionMatrix]
-    cluster_averages: Optional[tuple[Scalar, ...]]
-    average_partition: Optional[Partition]
-    partitions_agree: Optional[bool]
-    min_average_separation: Optional[Scalar]
+    termination_step: Optional[int] = None
+    partition: Optional[Partition] = None
+    cluster_matrix: Optional[OpinionMatrix] = None
+    cluster_averages: Optional[tuple[Scalar, ...]] = None
+    average_partition: Optional[Partition] = None
+    partitions_agree: Optional[bool] = None
+    min_average_separation: Optional[Scalar] = None
 
 
 def classify_outcome(
@@ -190,25 +189,13 @@ def classify_outcome(
     if termination_step is None and not matrices_close(
         step(x, epsilon).next_state, x, policy.tau_fix
     ):
-        return OutcomeReport(
-            model=model,
-            outcome=OUTCOME_NOT_TERMINATED,
-            terminated=False,
-            termination_step=None,
-            partition=None,
-            cluster_matrix=None,
-            cluster_averages=None,
-            average_partition=None,
-            partitions_agree=None,
-            min_average_separation=None,
-        )
+        return OutcomeReport(model=model, outcome=OUTCOME_NOT_TERMINATED, terminated=False)
 
     partition = opinion_partition(x, policy)
     matrix = cluster_means(x, partition)
     averages = row_average(matrix).values
 
-    tol = policy.tau_cluster
-    average_partition = _group(row_average(x).values, lambda a, b: abs(a - b) <= tol)
+    average_partition = _group(zip(row_average(x).values), policy.tau_cluster)
     agree = partition == average_partition
 
     separation: Optional[Scalar] = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -117,7 +118,6 @@ class RunManifest:
     tau_cluster: float
     init: dict
     tool_version: str = __version__
-    format_revision: int = FORMAT_REVISION
 
     def policy(self) -> NumericPolicy:
         if self.mode == MODE_EXACT:
@@ -146,7 +146,7 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return {
-            "format_revision": self.format_revision,
+            "format_revision": FORMAT_REVISION,
             "tool_version": self.tool_version,
             "model": self.model,
             "mode": self.mode,
@@ -532,7 +532,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("missing subcommand (try --help)")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: no error line, and fd 1 points at devnull
+        # so the flush at exit cannot raise again (the signal docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, count, repeat
 from operator import add, or_
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
@@ -117,6 +117,39 @@ def sorted_windows(values: Sequence[Scalar], epsilon: Scalar) -> list[slice]:
             end += 1
         out.append(slice(lo, end))
     return out
+
+
+# maps the digits of bin() to the bytes 0 and 1, for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def topic_windows(
+    rows: Iterable[Sequence[Scalar]], tol: Scalar
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each row's class, and each class's per-topic windows as bitsets of classes.
+
+    Classes are the distinct rows in first-seen order.  On each topic the
+    classes sorted by value have one window each (:func:`sorted_windows`,
+    within ``tol``), and a window is a run of that order, so its bitset is
+    the difference of two prefix bitsets.  ``tol`` may be 0.
+    """
+    classes, labels = distinct(rows)
+    per_topic = []
+    for column in zip(*classes):
+        order = sorted(range(len(classes)), key=column.__getitem__)
+        prefix = [0]
+        for c in order:
+            prefix.append(prefix[-1] | 1 << c)
+        masks = [0] * len(classes)
+        for c, w in zip(order, sorted_windows([column[c] for c in order], tol)):
+            masks[c] = prefix[w.stop] ^ prefix[w.start]
+        per_topic.append(masks)
+    return labels, list(zip(*per_topic))
+
+
+def mask_members(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ average-based model; only the neighbor test differs.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count
 from operator import and_, or_
 from typing import Optional
 
@@ -19,42 +18,10 @@ from .core import (
     Scalar,
     StepReport,
     check_epsilon,
-    distinct,
+    mask_members,
     neighbor_means,
-    sorted_windows,
+    topic_windows,
 )
-
-# maps the digits of bin() to the bytes 0 and 1, for itertools.compress
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _topic_windows(x: OpinionMatrix, epsilon: Scalar) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each agent's class, and each class's per-topic windows as bitsets of classes.
-
-    Classes are the distinct rows in first-seen order.  On each topic the
-    classes sorted by value have one window each (:func:`sorted_windows`),
-    and a window is a run of that order, so its bitset is the difference
-    of two prefix bitsets.
-    """
-    check_epsilon(epsilon)
-    rows, labels = distinct(x.entries)
-    per_topic = []
-    for column in zip(*rows):
-        order = sorted(range(len(rows)), key=column.__getitem__)
-        prefix = [0]
-        for c in order:
-            prefix.append(prefix[-1] | 1 << c)
-        masks = [0] * len(rows)
-        for c, w in zip(order, sorted_windows([column[c] for c in order], epsilon)):
-            masks[c] = prefix[w.stop] ^ prefix[w.start]
-        per_topic.append(masks)
-    return labels, list(zip(*per_topic))
-
-
-def _members(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
-
 
 def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     """Influence matrix: neighbors iff within epsilon on every topic.
@@ -65,8 +32,9 @@ def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     intersection of its per-topic windows, each found over the classes
     sorted on that topic with the unchanged predicate.
     """
-    labels, windows = _topic_windows(x, epsilon)
-    return InfluenceMatrix(labels, [_members(reduce(and_, w)) for w in windows])
+    check_epsilon(epsilon)
+    labels, windows = topic_windows(x.entries, epsilon)
+    return InfluenceMatrix(labels, [mask_members(reduce(and_, w)) for w in windows])
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
@@ -86,7 +54,8 @@ def one_step_preservation_hypothesis(x: OpinionMatrix, epsilon: Scalar) -> bool:
     every topic (the AND of its windows) are those close on some topic
     (their OR).
     """
-    _, windows = _topic_windows(x, epsilon)
+    check_epsilon(epsilon)
+    _, windows = topic_windows(x.entries, epsilon)
     return all(reduce(and_, w) == reduce(or_, w) for w in windows)
 
 

@@ -152,9 +152,9 @@ def test_single_agent_is_consensus():
 
 
 TAU = 1e-9
-# a fixed-point tolerance far above the in-cluster spread, so states whose
-# clusters are tolerance chains still classify as terminal
-CHAINED = NumericPolicy.floating(tau_fix=1e-6, tau_cluster=TAU)
+CHAINED = NumericPolicy.floating(tau_cluster=TAU)
+# float states grouped by equality alone
+EQUAL = NumericPolicy.floating(tau_cluster=0.0)
 
 
 def _all_pairs_partition(n, close):
@@ -175,40 +175,87 @@ def _all_pairs_partition(n, close):
     return Partition(tuple(map(tuple, blocks.values())))
 
 
-@st.composite
-def chained_cluster_states(draw):
-    """Clusters 10 apart, some sharing a coordinate, each a tolerance chain.
+def _float_value(center, offset):
+    # 0.0 + -0.0 is 0.0, so a zero center keeps the offset's sign
+    return center + offset if center else offset
 
-    Offsets 0, 0.6 tau and 1.2 tau on a topic join in one group, although
-    the two ends are not within tau; rows repeat across agents.
+
+@st.composite
+def grouping_cases(draw):
+    """A policy and a state of clusters 10 apart, some sharing a coordinate.
+
+    Float offsets 0, 0.6 tau and 1.2 tau on a topic join in one group
+    under tau, although the two ends are not within tau; a zero center
+    also draws -0.0, and 0 against tau is a gap of exactly tau.  Exact
+    states sit on a quarter grid.  Rows repeat across agents.
     """
     m = draw(st.integers(1, 3))
-    centers = st.tuples(*[st.integers(0, 3).map(lambda c: 10.0 * c)] * m)
-    offsets = st.tuples(*[st.sampled_from((0.0, 0.6 * TAU, 1.2 * TAU))] * m)
-    rows = st.builds(lambda c, o: tuple(map(float.__add__, c, o)), centers, offsets)
+    exact = draw(st.booleans())
+    if exact:
+        policy, value = EXACT, lambda c, o: Fraction(10 * c) + o
+        offset = st.sampled_from((Fraction(0), Fraction(1, 4), Fraction(1, 2)))
+    else:
+        policy, value = draw(st.sampled_from((CHAINED, EQUAL))), _float_value
+        offset = st.sampled_from((0.0, -0.0, 0.6 * TAU, TAU, 1.2 * TAU))
+    center = st.integers(0, 3).map(lambda c: c if exact else 10.0 * c)
+    rows = st.lists(st.builds(value, center, offset), min_size=m, max_size=m).map(tuple)
     pool = draw(st.lists(rows, min_size=1, max_size=8))
-    return OpinionMatrix(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))))
+    x = OpinionMatrix(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))))
+    return x, policy
 
 
 @settings(max_examples=150, deadline=None)
-@given(chained_cluster_states())
-@example(OpinionMatrix(((0.0,), (0.6 * TAU,), (1.2 * TAU,), (0.6 * TAU,), (0.0,))))
-@example(OpinionMatrix(((0.0, 10.0), (1.2 * TAU, 10.0), (10.0, 10.0), (0.6 * TAU, 10.0))))
-def test_groupings_equal_all_pairs_union_find(x):
+@given(grouping_cases())
+@example((OpinionMatrix(((0.0,), (0.6 * TAU,), (1.2 * TAU,), (0.6 * TAU,), (0.0,))), CHAINED))
+@example(
+    (OpinionMatrix(((0.0, 10.0), (1.2 * TAU, 10.0), (10.0, 10.0), (0.6 * TAU, 10.0))), CHAINED)
+)
+@example((OpinionMatrix(((0.0, -0.0), (TAU, 0.0), (2 * TAU, 1.0), (-0.0, TAU))), CHAINED))
+@example((OpinionMatrix(((0.0, -0.0), (-0.0, 0.0), (TAU, 0.0), (0.0, TAU))), EQUAL))
+@example(
+    (OpinionMatrix(((Fraction(0),), (Fraction(1, 4),), (Fraction(0),), (Fraction(10),))), EXACT)
+)
+def test_groupings_equal_all_pairs_union_find(case):
+    x, policy = case
+    tol = policy.tau_cluster
     rows = x.entries
     n = x.n_agents
     full = _all_pairs_partition(
-        n, lambda i, k: all(abs(p - q) <= TAU for p, q in zip(rows[i], rows[k]))
+        n, lambda i, k: all(abs(p - q) <= tol for p, q in zip(rows[i], rows[k]))
     )
-    assert opinion_partition(x, CHAINED) == full
+    assert opinion_partition(x, policy) == full
     for topic in range(x.n_topics):
         col = x.column(topic)
-        want = _all_pairs_partition(n, lambda i, k: abs(col[i] - col[k]) <= TAU)
-        assert per_topic_partition(x, topic, CHAINED) == want
+        want = _all_pairs_partition(n, lambda i, k: abs(col[i] - col[k]) <= tol)
+        assert per_topic_partition(x, topic, policy) == want
     means = row_average(x).values
-    report = classify_outcome(x, 1.0, CHAINED, "uniform")
-    assert report.terminated
+    # the state is passed as an observed fixed point, so it is not stepped
+    report = classify_outcome(x, policy.coerce(1), policy, "uniform", termination_step=0)
+    assert report.partition == full
     assert report.average_partition == _all_pairs_partition(
-        n, lambda i, k: abs(means[i] - means[k]) <= TAU
+        n, lambda i, k: abs(means[i] - means[k]) <= tol
     )
 
+
+def _set_refines(finer, coarser):
+    coarse = [set(b) for b in coarser.blocks]
+    return all(any(set(b) <= c for c in coarse) for b in finer.blocks)
+
+
+def _partition_of(labels):
+    blocks = {}
+    for i, label in enumerate(labels):
+        blocks.setdefault(label, []).append(i)
+    return Partition(tuple(map(tuple, blocks.values())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, 3), min_size=n, max_size=n)] * 2)
+    )
+)
+def test_refines_equals_the_set_form(labels):
+    finer, coarser = map(_partition_of, labels)
+    assert refines(finer, coarser) == _set_refines(finer, coarser)
+    assert refines(finer, finer)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -768,6 +769,42 @@ def test_version_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--model", "ave", "--mode", "exact", "--epsilon", "1", "--state"],
+        ["batch", "--model", "uniform", "--epsilon", "0.5", "--agents", "4", "--topics", "2"]
+        + ["--seeds", "0:3"],
+    ],
+    ids=["classify", "batch"],
+)
+def test_closed_stdout_exits_1_quietly(tmp_path, argv):
+    # a real pipe whose read end is closed before the child writes; the
+    # quiet exit redirects fd 1, so it runs in a child process
+    if argv[-1] == "--state":
+        write_lines(tmp_path / "s.csv", "0,0\n1/2,1/2\n3,3\n")
+        argv = [*argv, str(tmp_path / "s.csv")]
+    # a buffered stdout, so the short output reaches the pipe only at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hkmulti.cli", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    # at most batch's own progress line: no error line, no traceback and
+    # no "Exception ignored" from the flush at exit
+    assert proc.stderr in ("", "3/3 runs terminated; results in stdout\n")
 
 
 def test_module_entry_point():

@@ -139,10 +139,19 @@ def test_batch_run_empty():
     assert batch_run([]) == ()
 
 
-@pytest.mark.parametrize("model", ["ave", "uniform"])
-def test_exact_and_float_runs_terminate_alike(model):
-    # epsilon 3/8 is dyadic, so 0.375 is the same threshold in both modes,
-    # and sample_initial draws the same dyadic starts for both
+@pytest.mark.parametrize(
+    "model, exact_epsilon, float_epsilon",
+    [
+        pytest.param("ave", Fraction(3, 8), 0.375, id="ave"),
+        pytest.param("uniform", Fraction(3, 8), 0.375, id="uniform"),
+        pytest.param("ave", Fraction(3, 10), 0.3, id="ave-non-dyadic"),
+        pytest.param("uniform", Fraction(3, 10), 0.3, id="uniform-non-dyadic"),
+    ],
+)
+def test_exact_and_float_runs_terminate_alike(model, exact_epsilon, float_epsilon):
+    # sample_initial draws the same dyadic starts for both modes.  Epsilon
+    # 3/8 is dyadic, so 0.375 is the same threshold in both; 0.3 is the
+    # double nearest 3/10, so the two thresholds differ by about 1e-17
     def ending(policy, epsilon, seed):
         traj = run(
             SimulationConfig(model, epsilon, 200, policy),
@@ -157,6 +166,6 @@ def test_exact_and_float_runs_terminate_alike(model):
     differ = [
         seed
         for seed in range(200)
-        if ending(EXACT, Fraction(3, 8), seed) != ending(FLOAT, 0.375, seed)
+        if ending(EXACT, exact_epsilon, seed) != ending(FLOAT, float_epsilon, seed)
     ]
     assert differ == []
