@@ -10,7 +10,6 @@ per-topic groupings, because the three need not coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence
@@ -21,6 +20,7 @@ from .core import (
     OpinionMatrix,
     PropertyViolation,
     Scalar,
+    _divide,
     check_epsilon,
     left_sum,
     mask_members,
@@ -130,10 +130,9 @@ def cluster_means(x: OpinionMatrix, partition: Partition) -> OpinionMatrix:
         raise ValueError("partition does not cover the agents")
     rows = []
     for block in partition.blocks:
-        size = Fraction(len(block))
         rows.append(
             tuple(
-                left_sum(x.entries[i][j] for i in block) / size
+                _divide(left_sum(x.entries[i][j] for i in block), len(block))
                 for j in range(x.n_topics)
             )
         )

@@ -34,13 +34,11 @@ from .core import (
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
     # classes are the distinct means in ascending order (0.0 and -0.0 are
-    # one), so each window of means is a run of classes.  The lists share
-    # one int per class to keep reports small
+    # one), so each window of means is one run of classes
     means = sorted(set(values))
     rank = {a: c for c, a in enumerate(means)}
-    classes = list(range(len(means)))
-    windows = map(classes.__getitem__, sorted_windows(means, epsilon))
-    return InfluenceMatrix(list(map(rank.__getitem__, values)), windows)
+    runs = [((w.start, w.stop - 1),) for w in sorted_windows(means, epsilon)]
+    return InfluenceMatrix(list(map(rank.__getitem__, values)), runs)
 
 
 def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:

@@ -63,7 +63,7 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
-FORMAT_REVISION = 2
+FORMAT_REVISION = 3
 # largest START:END range that batch accepts
 MAX_SEEDS = 100_000
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")

@@ -17,11 +17,14 @@ neighbor set (:func:`distinct`) and agents with equal values share the
 result.  Values are grouped by ``==``, so ``0.0`` and ``-0.0`` form one
 class; every difference and comparison the rules take treats them alike.
 :class:`InfluenceMatrix` keeps exactly this structure, the class of each
-agent and the neighbor classes of each class, and every consumer
-(:func:`neighbor_means`, :func:`contraction_factor`, the JSONL neighbor
-lists, the ``averaging-matrix`` check) reads the classes directly.  The
-dense N x N matrix is a view for outside readers; the dense averaging
-matrix and its seminorm are references in :mod:`hkmulti.oracle`.
+agent and the neighbor classes of each class as runs of consecutive class
+numbers.  The ``ave`` rule numbers its classes by mean, so each class has
+one run, a window over the sorted means, and the matrix is checked with
+O(N + C) big-int operations.  Every consumer (:func:`neighbor_means`,
+:func:`contraction_factor`, the JSONL ``classes`` and ``runs``, the
+``averaging-matrix`` check) reads the runs directly.  The dense N x N
+matrix is a view for outside readers; the dense averaging matrix and its
+seminorm are references in :mod:`hkmulti.oracle`.
 :class:`OpinionMatrix` therefore holds floats only or exact values
 only: a float equal to a Fraction would share its class but not its
 arithmetic.
@@ -37,12 +40,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, count, repeat
-from operator import add, or_
+from itertools import accumulate, chain, combinations, compress, count, repeat
+from operator import add, or_, xor
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 Scalar = Union[int, float, Fraction]
 K = TypeVar("K", bound=Hashable)
+# (lo, hi): the consecutive class numbers lo..hi, both ends included
+Run = tuple[int, int]
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
@@ -128,12 +133,20 @@ def topic_windows(
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Each row's class, and each class's per-topic windows as bitsets of classes.
 
-    Classes are the distinct rows in first-seen order.  On each topic the
-    classes sorted by value have one window each (:func:`sorted_windows`,
-    within ``tol``), and a window is a run of that order, so its bitset is
-    the difference of two prefix bitsets.  ``tol`` may be 0.
+    Classes are the distinct rows numbered in topic-0 order (ties in
+    first-seen order), so the classes of a topic-0 window are consecutive
+    numbers.  On each topic the classes sorted by value have one window
+    each (:func:`sorted_windows`, within ``tol``), and a window is a run
+    of that order, so its bitset is the difference of two prefix bitsets.
+    ``tol`` may be 0.
     """
     classes, labels = distinct(rows)
+    order = sorted(range(len(classes)), key=[row[0] for row in classes].__getitem__)
+    rank = [0] * len(classes)
+    for c, seen in enumerate(order):
+        rank[seen] = c
+    classes = list(map(classes.__getitem__, order))
+    labels = list(map(rank.__getitem__, labels))
     per_topic = []
     for column in zip(*classes):
         order = sorted(range(len(classes)), key=column.__getitem__)
@@ -147,9 +160,27 @@ def topic_windows(
     return labels, list(zip(*per_topic))
 
 
+# bit numbers for compress to pick from, built once: count() would
+# allocate an int for every bit, which doubles the time for 1000 bits
+_INDEX = tuple(range(1 << 10))
+
+
 def mask_members(mask: int) -> list[int]:
     """The set bits of ``mask``, lowest first."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)
+    return list(compress(_INDEX if len(bits) <= len(_INDEX) else count(), bits))
+
+
+def mask_runs(mask: int) -> tuple[Run, ...]:
+    """The maximal runs of set bits of ``mask`` as (lo, hi) positions, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        # adding the lowest bit carries through its run into the bit above it
+        top = (mask + low) & ~mask
+        out.append((low.bit_length() - 1, top.bit_length() - 2))
+        mask &= -top
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -250,6 +281,15 @@ class OpinionMatrix:
         if 0 < floats < len(rows) * width:
             raise ValueError("opinion entries mix floats with exact values")
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[Scalar, ...], ...]) -> "OpinionMatrix":
+        """A matrix over ``entries`` without the checks above: for kernel
+        output whose shape and regime follow from a checked input, and
+        whose caller has checked that its floats are finite."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "entries", entries)
+        return x
+
     @property
     def n_agents(self) -> int:
         return len(self.entries)
@@ -284,40 +324,79 @@ class AverageVector:
 class InfluenceMatrix:
     """Interaction graph of agents, held as classes of agents with equal neighbors.
 
-    ``labels[i]`` is agent i's class, numbered 0..C-1; ``class_neighbors[c]``
-    lists, sorted, the classes class c listens to, c itself included.
-    Construction checks reflexivity, symmetry and the numbering in
-    O(N + class edges); :attr:`entries` is the dense view.
+    ``labels[i]`` is agent i's class, numbered 0..C-1; ``runs[c]`` holds
+    the classes class c listens to, c itself included, as maximal disjoint
+    runs ``(lo, hi)`` of consecutive class numbers in ascending order.  The
+    ``ave`` rule gives every class one run, a window over the classes
+    sorted by mean.  Construction checks the numbering, the runs,
+    reflexivity and symmetry; each class's row is tested against its
+    column of the transpose as bitsets of classes, with O(runs) big-int
+    operations, so an ``ave`` matrix costs O(N + C) of them.  Runs given
+    as lists are stored as tuples.
+    :attr:`class_neighbors` and :attr:`entries` are expanded views.
     """
 
     labels: tuple[int, ...]
-    class_neighbors: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[Run, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "class_neighbors", tuple(map(tuple, self.class_neighbors)))
-        links = self.class_neighbors
+        # equal runs share one tuple: under the ``uniform`` rule a one-class
+        # run (d, d) recurs in the runs of most neighbors of d
+        shared: dict[Run, Run] = {}
+        runs = []
+        for pairs in self.runs:
+            pairs = list(map(tuple, pairs))
+            runs.append(tuple(map(shared.setdefault, pairs, pairs)))
+        object.__setattr__(self, "runs", tuple(runs))
         if not self.labels:
             raise ValueError("empty influence matrix")
-        if set(self.labels) != set(range(len(links))):
+        if set(self.labels) != set(range(len(self.runs))):
             raise ValueError("labels must number the classes 0..C-1, each with an agent")
-        back: list[list[int]] = [[] for _ in links]
-        for c, nbrs in enumerate(links):
-            if c not in nbrs:
+        self._check_runs()
+
+    def _check_runs(self) -> None:
+        n = len(self.runs)
+        # ones[k] has bits 0..k-1 set, so run (lo, hi) is ones[hi + 1] - ones[lo]
+        ones = [(1 << k) - 1 for k in range(n + 1)]
+        rows = []
+        # column c of the matrix, as a bitset of classes, is the running XOR
+        # of flips[0..c]: bit d flips where a run of class d starts and
+        # again just past its end
+        flips = [0] * (n + 1)
+        for d, runs in enumerate(self.runs):
+            bit = 1 << d
+            row = 0
+            # one past the end of the last run
+            end = -1
+            for lo, hi in runs:
+                # the first run starts at 0 or later, each next one past
+                # the gap after the last, and none ends past n - 1
+                if not end < lo <= hi < n:
+                    if lo < 0 or hi >= n:
+                        raise ValueError("neighbor classes must be in range")
+                    raise ValueError("neighbor runs must be sorted, disjoint and maximal")
+                end = hi + 1
+                row += ones[end] - ones[lo]
+                flips[lo] ^= bit
+                flips[end] ^= bit
+            if not row >> d & 1:
                 raise ValueError("every agent must be its own neighbor")
-            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
-                raise ValueError("neighbor classes must be sorted and distinct")
-            if nbrs[0] < 0 or nbrs[-1] >= len(links):
-                raise ValueError("neighbor classes must be in range")
-            for d in nbrs:
-                back[d].append(c)
-        # the transpose, built in ascending class order, is sorted too
-        if any(tuple(b) != nbrs for b, nbrs in zip(back, links)):
+            rows.append(row)
+        if list(accumulate(flips[:n], xor)) != rows:
             raise ValueError("influence matrix must be symmetric")
 
     @property
     def n_agents(self) -> int:
         return len(self.labels)
+
+    @property
+    def class_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each class's neighbor classes, sorted: its runs expanded."""
+        return tuple(
+            tuple(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs))
+            for runs in self.runs
+        )
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -328,23 +407,24 @@ class InfluenceMatrix:
             rows.append(tuple(map(linked.get, self.labels, repeat(0))))
         return tuple(map(rows.__getitem__, self.labels))
 
-    def class_agents(self, first: int = 0) -> list[list[int]]:
-        """For each class, its neighbor agents in ascending order, numbered from ``first``."""
-        members: list[list[int]] = [[] for _ in self.class_neighbors]
-        for k, c in enumerate(self.labels, first):
-            members[c].append(k)
-        return [
-            sorted(chain.from_iterable(map(members.__getitem__, nbrs)))
-            for nbrs in self.class_neighbors
-        ]
+    def neighbor_sets(self) -> list[int]:
+        """For each class, its neighbor agents as a bitset: bit k is agent k.
 
-    def neighbor_lists(self, first: int = 0) -> tuple[tuple[int, ...], ...]:
-        """Every agent's neighbors, numbered from ``first``.
-
-        Built once per class; agents of one class share one tuple.
+        A run's agents are the difference of two prefix ORs of the classes'
+        member bitsets, so :func:`mask_members` lists them in ascending
+        order with no merge of member lists.
         """
-        lists = list(map(tuple, self.class_agents(first)))
-        return tuple(map(lists.__getitem__, self.labels))
+        members = [0] * len(self.runs)
+        for k, c in enumerate(self.labels):
+            members[c] |= 1 << k
+        prefix = list(accumulate(members, or_, initial=0))
+        sets = []
+        for runs in self.runs:
+            agents = 0
+            for lo, hi in runs:
+                agents |= prefix[hi + 1] ^ prefix[lo]
+            sets.append(agents)
+        return sets
 
 
 @dataclass(frozen=True)
@@ -395,24 +475,18 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     sum does, so both forms agree bit for bit.  Only distinct neighbor sets are paired; a
     set shared by two agents also overlaps itself.  One agent gives 0.
 
-    When the neighbor classes of the first and the last class cannot
-    meet (their sorted lists do not overlap as intervals), that pair
-    shares no agent and the result is 1 - 0 at once.  For the ``ave``
-    rule, whose classes are windows over the sorted means with
-    nondecreasing ends (Blondel, Hendrickx & Tsitsiklis, IEEE TAC 2009),
-    the test is exact: if the two extreme windows meet, every pair meets.
+    When the neighbor runs of the first and the last class cannot meet
+    (their spans do not overlap as intervals), that pair shares no agent
+    and the result is 1 - 0 at once.  For the ``ave`` rule, whose classes
+    are windows over the sorted means with nondecreasing ends (Blondel,
+    Hendrickx & Tsitsiklis, IEEE TAC 2009), the test is exact: if the two
+    extreme windows meet, every pair meets.
     """
-    first, last = phi.class_neighbors[0], phi.class_neighbors[-1]
-    if first[-1] < last[0] or last[-1] < first[0]:
+    first, last = phi.runs[0], phi.runs[-1]
+    if first[-1][1] < last[0][0] or last[-1][1] < first[0][0]:
         return 1 - _overlap(0, 1, exact)
-    # neighbor sets as agent bitsets, the OR of their classes' member
-    # bitsets; a popcount is a degree or an overlap
-    members = [0] * len(phi.class_neighbors)
-    for k, c in enumerate(phi.labels):
-        members[c] |= 1 << k
-    sets, set_of = distinct(
-        reduce(or_, map(members.__getitem__, nbrs)) for nbrs in phi.class_neighbors
-    )
+    # neighbor sets as agent bitsets; a popcount is a degree or an overlap
+    sets, set_of = distinct(phi.neighbor_sets())
     sized = [(s, s.bit_count()) for s in sets]
     keys = {
         ((a & b).bit_count(), max(da, db))
@@ -454,18 +528,27 @@ def global_range(x: OpinionMatrix) -> Scalar:
 def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatrix:
     """Replace each row by the mean of its neighbors' rows.
 
-    One mean per class, shared by the agents of that class.  Each column
-    sums in ascending agent order, then divides by the degree.
+    One mean per distinct neighbor set, shared by the agents of every
+    class with that set: under the ``ave`` rule neighboring classes often
+    have the same window.  Each column sums in ascending agent order, then
+    divides by the degree.  The result skips the constructor's checks: its
+    shape and regime are those of ``x``, and each new float row passes one
+    finiteness test, as a sum of finite floats can overflow.
     """
     if influence.n_agents != x.n_agents:
         raise ValueError("influence matrix does not match agent count")
     entries = x.entries
+    floats = isinstance(entries[0][0], float)
+    sets, set_of = distinct(influence.neighbor_sets())
     means = []
-    for agents in influence.class_agents():
-        nbrs = list(map(entries.__getitem__, agents))
-        deg = len(nbrs)
-        means.append(tuple(_divide(left_sum(col), deg) for col in zip(*nbrs)))
-    return OpinionMatrix(tuple(map(means.__getitem__, influence.labels)))
+    for agents in map(mask_members, sets):
+        columns = zip(*map(entries.__getitem__, agents))
+        mean = tuple([_divide(left_sum(col), len(agents)) for col in columns])
+        if floats and not all(map(math.isfinite, mean)):
+            raise ValueError("opinion entries must be finite")
+        means.append(mean)
+    rows = list(map(means.__getitem__, set_of))
+    return OpinionMatrix._trusted(tuple(map(rows.__getitem__, influence.labels)))
 
 
 def matrices_close(x: OpinionMatrix, y: OpinionMatrix, tol: Scalar) -> bool:

@@ -32,6 +32,7 @@ from .core import (
     PropertyViolation,
     Scalar,
     left_sum,
+    mask_members,
     matrices_close,
 )
 from .sim import Trajectory
@@ -79,16 +80,16 @@ def check_averaging_step(traj: Trajectory) -> list[str]:
     """Each step applies the degree-normalized influence matrix to the state.
 
     Row i of that matrix puts weight 1/deg on each neighbor of i, so the
-    product is taken over the neighbor lists, once per class of agents
-    with equal neighbors.  It sums weighted rows where the step divides a
-    sum, so float results differ by rounding.
+    product is taken over the agents of the recorded neighbor runs, once
+    per class of agents with equal neighbors.  It sums weighted rows where
+    the step divides a sum, so float results differ by rounding.
     """
     exact = traj.config.policy.is_exact
     out = []
     for t, report in enumerate(traj.reports):
         rows = traj.states[t].entries
         mixed = []
-        for agents in report.influence.class_agents():
+        for agents in map(mask_members, report.influence.neighbor_sets()):
             weight = Fraction(1, len(agents)) if exact else 1.0 / len(agents)
             nbrs = [rows[k] for k in agents]
             mixed.append(tuple(sum(weight * v for v in col) for col in zip(*nbrs)))

@@ -4,7 +4,8 @@ Exact scalars travel as "p/q" strings, floats as shortest round-trip
 decimals, so both regimes survive a write/read cycle unchanged.  JSON
 objects are written with sorted keys and fixed separators; a rerun of
 the same configuration therefore reproduces files byte for byte.
-Agents and topics are 1-based in every external format.
+Agents and topics are 1-based in every external format; the class
+numbers of a trajectory record's ``classes`` and ``runs`` count from 0.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import le
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .analysis import OutcomeReport
 from .core import (
@@ -74,33 +77,56 @@ def _load(text: str, what: str):
         raise ValueError(f"{what} is nested too deeply") from None
 
 
+def _row_text(row: Sequence[Scalar], exact: bool) -> str:
+    """``_dump`` of one row's tokens: JSON writes a finite float as its
+    ``repr``, its :func:`csv_token`, and quotes a "p/q" string, which has
+    nothing to escape."""
+    quote = '"' if exact else ""
+    return "[" + ",".join([f"{quote}{csv_token(v, exact)}{quote}" for v in row]) + "]"
+
+
+def _state_text(x: OpinionMatrix, exact: bool) -> str:
+    """``_dump(matrix_tokens(x, exact))``, rendering each row object once.
+
+    Agents of one class share one row tuple.  The cache is keyed on the
+    tuple's identity, not on ``==``, which would merge ``0.0`` and ``-0.0``.
+    """
+    rendered: dict[int, str] = {}
+    for row in x.entries:
+        if id(row) not in rendered:
+            rendered[id(row)] = _row_text(row, exact)
+    return "[" + ",".join([rendered[id(row)] for row in x.entries]) + "]"
+
+
+def _record(fields: dict, state: str) -> str:
+    """``_dump`` of ``fields`` with a ``state`` key whose JSON text is ``state``."""
+    texts = {key: _dump(value) for key, value in fields.items()}
+    texts["state"] = state
+    return "{" + ",".join(f"{_dump(key)}:{texts[key]}" for key in sorted(texts)) + "}"
+
+
 def trajectory_lines(traj: Trajectory) -> list[str]:
     """JSONL records: one per step with diagnostics, then the final state.
 
-    Step records carry the pre-step state, 1-based neighbor lists, the
-    per-topic ranges of that state, and (average-based model only) the
-    contraction factor of the step's averaging matrix.
+    Step records carry the pre-step state, the step's influence matrix as
+    ``classes`` (each agent's class, numbered from 0) and ``runs`` (each
+    class's neighbor classes as ``[lo, hi]`` runs), the per-topic ranges
+    of that state, and (average-based model only) the contraction factor
+    of the step's averaging matrix.
     """
     exact = traj.config.policy.is_exact
     lines = []
     for t, report in enumerate(traj.reports):
-        record = {
+        fields = {
             "step": t,
-            "state": matrix_tokens(traj.states[t], exact),
-            "influence": report.influence.neighbor_lists(first=1),
+            "classes": report.influence.labels,
+            "runs": report.influence.runs,
             "topic_ranges": [scalar_token(hi - lo, exact) for lo, hi in traj.hulls[t]],
         }
         if traj.config.model == MODEL_AVE:
-            record["gamma"] = scalar_token(traj.gammas[t], exact)
-        lines.append(_dump(record))
-    lines.append(
-        _dump(
-            {
-                "step": traj.n_steps,
-                "state": matrix_tokens(traj.final_state, exact),
-            }
-        )
-    )
+            fields["gamma"] = scalar_token(traj.gammas[t], exact)
+        lines.append(_record(fields, _state_text(traj.states[t], exact)))
+    lines.append(_record({"step": traj.n_steps}, _state_text(traj.final_state, exact)))
     return lines
 
 
@@ -130,6 +156,24 @@ def json_rows(value, what: str) -> list:
     return value
 
 
+def _are_classes(values: list) -> bool:
+    """True when every value is a JSON integer >= 0.
+
+    A JSON true parses to a bool, which is an int but no class number.
+    The tests map builtins over the list, as a file holds many runs.
+    """
+    return set(map(type, values)) <= {int} and (not values or min(values) >= 0)
+
+
+def _are_runs(runs: list) -> bool:
+    """True when each class's runs are [lo, hi] class pairs with lo <= hi."""
+    pairs = list(chain.from_iterable(runs))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return False
+    los, his = (list(ends) for ends in zip(*pairs)) if pairs else ([], [])
+    return _are_classes(los) and _are_classes(his) and all(map(le, los, his))
+
+
 def read_trajectory_jsonl(
     path: PathLike, policy: NumericPolicy, text: Optional[str] = None
 ) -> list[StepRecord]:
@@ -154,11 +198,14 @@ def read_trajectory_jsonl(
         for key in ("step", "state"):
             if key not in raw:
                 raise ValueError(f"{where} has no {key!r} key")
-        if "influence" in raw:
-            lists = json_rows(raw["influence"], f"{where} 'influence'")
-            # a JSON true parses to a bool, which is an int but no agent number
-            if not all(type(k) is int for nbrs in lists for k in nbrs):
-                raise ValueError(f"{where} 'influence' must hold agent numbers")
+        if "classes" in raw:
+            labels = raw["classes"]
+            if not isinstance(labels, list) or not _are_classes(labels):
+                raise ValueError(f"{where} 'classes' must be a list of class numbers")
+        if "runs" in raw:
+            runs = json_rows(raw["runs"], f"{where} 'runs'")
+            if not _are_runs(runs):
+                raise ValueError(f"{where} 'runs' must hold [lo, hi] class pairs, lo <= hi")
         if "topic_ranges" in raw:
             if not isinstance(raw["topic_ranges"], list):
                 raise ValueError(f"{where} 'topic_ranges' must be a list")
@@ -169,6 +216,11 @@ def read_trajectory_jsonl(
         step = json_int(raw["step"], f"{where} 'step'")
         rows = policy.coerce_rows(json_rows(raw["state"], f"{where} 'state'"))
         state = OpinionMatrix(rows)
+        if "classes" in raw and len(raw["classes"]) != state.n_agents:
+            raise ValueError(
+                f"{where} 'classes' has {len(raw['classes'])} entries for"
+                f" {state.n_agents} agents"
+            )
         if not records:
             shape = (state.n_agents, state.n_topics)
         elif (state.n_agents, state.n_topics) != shape:

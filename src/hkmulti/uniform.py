@@ -18,7 +18,7 @@ from .core import (
     Scalar,
     StepReport,
     check_epsilon,
-    mask_members,
+    mask_runs,
     neighbor_means,
     topic_windows,
 )
@@ -34,7 +34,7 @@ def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     """
     check_epsilon(epsilon)
     labels, windows = topic_windows(x.entries, epsilon)
-    return InfluenceMatrix(labels, [mask_members(reduce(and_, w)) for w in windows])
+    return InfluenceMatrix(labels, [mask_runs(reduce(and_, w)) for w in windows])
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:

@@ -81,6 +81,33 @@ def test_cluster_means():
         cluster_means(x, Partition(((0, 1),)))
 
 
+@st.composite
+def states_and_partitions(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    value = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.1, 1 / 3])
+    rows = draw(st.lists(st.tuples(*[value] * m), min_size=n, max_size=n))
+    block_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for agent, b in enumerate(block_of):
+        blocks.setdefault(b, []).append(agent)
+    return OpinionMatrix(tuple(rows)), Partition(tuple(map(tuple, blocks.values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_and_partitions())
+def test_float_cluster_means_divide_as_by_a_fraction(case):
+    # the float division by the block size rounds as the division by
+    # Fraction(size) that cluster_means once made
+    x, partition = case
+    got = cluster_means(x, partition)
+    for row, block in zip(got.entries, partition.blocks):
+        total = [0] * x.n_topics
+        for i in block:
+            total = [t + v for t, v in zip(total, x.entries[i])]
+        assert list(map(repr, row)) == [repr(t / Fraction(len(block))) for t in total]
+
+
 def test_classify_clustering_example():
     x = OpinionMatrix(((1, 1), (1, 1), (3, 0), (3, 0)))
     report = classify_outcome(x, Fraction(3, 10), EXACT, "ave")

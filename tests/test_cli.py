@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkmulti import cli
 from hkmulti.cli import MAX_SEEDS, RunManifest, UsageError, _parse_seeds, main
@@ -435,7 +438,7 @@ def _drop_key(key):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_bump_topic_range, _drop_key("gamma"), _drop_key("influence"), _drop_last_record],
+    [_bump_topic_range, _drop_key("gamma"), _drop_key("runs"), _drop_last_record],
     ids=["topic-range", "no-gamma", "no-influence", "no-last-record"],
 )
 def test_verify_compares_float_records_with_the_replay(tmp_path, capsys, tamper):
@@ -480,14 +483,14 @@ def _drop_from_first(key):
 @pytest.mark.parametrize(
     "tamper",
     [
-        _set_first("influence", lambda lists: [k for nbrs in lists for k in nbrs]),
-        _set_first("influence", lambda lists: [[1.5] + nbrs for nbrs in lists]),
+        _set_first("runs", lambda runs: [pair for pairs in runs for pair in pairs]),
+        _set_first("classes", lambda labels: [1.5] + labels[1:]),
         _set_first("topic_ranges", lambda ranges: ranges[0]),
         _set_first("topic_ranges", lambda ranges: ["wide"] + ranges[1:]),
         _set_first("gamma", lambda gamma: "half"),
         # JSON booleans are no numbers, though bool is an int
         _set_first("state", lambda rows: [[True] + row[1:] for row in rows]),
-        _set_first("influence", lambda lists: [[True] + nbrs[1:] for nbrs in lists]),
+        _set_first("classes", lambda labels: [True] + labels[1:]),
         _set_first("topic_ranges", lambda ranges: [False] + ranges[1:]),
         _set_first("gamma", lambda gamma: True),
         # every record must have record 0's agents x topics
@@ -495,10 +498,18 @@ def _drop_from_first(key):
         _set_record(1, "state", lambda rows: rows[:-1]),
         _drop_from_first("state"),
         _drop_from_first("step"),
+        # a run is a [lo, hi] pair of class numbers with lo <= hi
+        _set_first("runs", lambda runs: [[[True, runs[0][0][1]]]] + runs[1:]),
+        _set_first("runs", lambda runs: [[[0.0, runs[0][0][1]]]] + runs[1:]),
+        _set_first("runs", lambda runs: [[runs[0][0] + [runs[0][0][1]]]] + runs[1:]),
+        _set_first("runs", lambda runs: [[[runs[0][0][1] + 1, runs[0][0][1]]]] + runs[1:]),
+        _set_first("runs", lambda runs: [[[-1, runs[0][0][1]]]] + runs[1:]),
+        _set_first("classes", lambda labels: labels[:-1]),
     ],
     ids=["influence-flat", "agent-not-int", "ranges-not-list", "range-not-number",
          "gamma-not-number", "state-bool", "agent-bool", "range-bool", "gamma-bool",
-         "fewer-topics", "fewer-agents", "no-state", "no-step"],
+         "fewer-topics", "fewer-agents", "no-state", "no-step", "run-bool", "run-float",
+         "run-triple", "run-reversed", "run-negative", "classes-short"],
 )
 def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
     # the reader keeps only steps and states, but still type-checks the rest
@@ -519,6 +530,94 @@ def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
         argv = ["plotdata", "--trajectory", str(path), "--out-dir", str(tmp_path / "plot")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _widen_all(runs):
+    # every class listens to every class: symmetric, and not the rule's graph
+    top = max(hi for pairs in runs for _, hi in pairs)
+    return [[[0, top]] for _ in runs]
+
+
+def _widen_class_0(runs):
+    # class 0 alone gains the class just past its run: no longer symmetric
+    top = max(hi for pairs in runs for _, hi in pairs)
+    return [[[0, min(runs[0][-1][1] + 1, top)]]] + runs[1:]
+
+
+@pytest.mark.parametrize("edit", [_widen_all, _widen_class_0], ids=["widened", "asymmetric"])
+def test_verify_catches_tampered_runs(tmp_path, capsys, edit):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
+            "--agents", "6", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    path = out_dir / "trajectory.jsonl"
+    lines = path.read_text().splitlines()
+    before = lines[0]
+    _set_first("runs", edit)(lines)
+    assert lines[0] != before
+    path.write_text("\n".join(lines) + "\n")
+
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out_dir)]) == 3
+    assert "step 0: record differs from replay" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("fuzz") / "out"
+    argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
+            "--agents", "6", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    return out_dir
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=30,
+)
+# near misses: the right nesting with small, possibly negative or reversed numbers
+near_runs = st.lists(st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=3), max_size=8)
+near_classes = st.lists(st.integers(-1, 8), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.sampled_from(["classes", "runs"]),
+    value=st.one_of(json_values, near_runs, near_classes),
+)
+def test_fuzzed_neighbor_fields_end_in_an_exit_code(recorded_run, key, value):
+    lines = (recorded_run / "trajectory.jsonl").read_text().splitlines()
+    _set_first(key, lambda _: value)(lines)
+    tampered = recorded_run.parent / "tampered.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--manifest", str(recorded_run / "manifest.json"),
+                     "--trajectory", str(tampered)])
+    assert code in (1, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_run_rejects_a_step_that_overflows(tmp_path, capsys, model):
+    # both rows are finite, but their column sum overflows to inf
+    write_lines(tmp_path / "init.csv", "1.7e308,0\n1.7e308,0\n")
+    argv = ["run", "--model", model, "--epsilon", "1", "--init", str(tmp_path / "init.csv"),
+            "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: opinion entries must be finite\n"
 
 
 @pytest.mark.parametrize("key", ["epsilon", "entries"])
@@ -569,7 +668,8 @@ def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
     # revision 1 is the layout before tau_row was dropped
     old = {**manifest, "format_revision": 1}
     old["tolerances"] = {**manifest["tolerances"], "tau_row": 0.0}
-    for raw in (old, {**manifest, "format_revision": 99}):
+    # revision 2 wrote N neighbor lists per record in place of classes and runs
+    for raw in (old, {**manifest, "format_revision": 2}, {**manifest, "format_revision": 99}):
         (out_dir / "manifest.json").write_text(json.dumps(raw))
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out_dir)]) == 1
@@ -839,7 +939,7 @@ def test_manifest_round_trip():
     assert back.epsilon == Fraction(4, 5)
     assert back.config().model == "uniform"
     assert back.initial_state().entries == manifest.initial_state().entries
-    for revision in (1, 3):
+    for revision in (1, 2):
         with pytest.raises(ValueError, match="revision"):
             RunManifest.from_dict({**raw, "format_revision": revision})
     bad = dict(raw)

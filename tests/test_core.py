@@ -26,7 +26,13 @@ from hkmulti import (
     uniform_step,
 )
 from hkmulti.avemodel import _neighbors_from_averages
-from hkmulti.core import matrices_close, neighbor_means, sorted_windows
+from hkmulti.core import (
+    mask_members,
+    mask_runs,
+    matrices_close,
+    neighbor_means,
+    sorted_windows,
+)
 from hkmulti.oracle import (
     RowStochasticMatrix,
     induced_disagreement_seminorm,
@@ -81,7 +87,7 @@ def test_induced_seminorm_rejects_bad_rows():
 
 
 def test_row_normalize_exact_and_float():
-    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
+    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
     a = row_normalize(phi)
     assert a.entries[0] == (Fraction(1, 2), Fraction(1, 2), 0)
     assert a.entries[2] == (0, 0, 1)
@@ -91,16 +97,16 @@ def test_row_normalize_exact_and_float():
 
 
 def test_contraction_factor_examples():
-    single = InfluenceMatrix((0,), ((0,),))
+    single = InfluenceMatrix((0,), (((0, 0),),))
     assert repr(contraction_factor(single, exact=True)) == "0"
     assert repr(contraction_factor(single, exact=False)) == "0"
-    full = InfluenceMatrix((0, 0), ((0,),))
+    full = InfluenceMatrix((0, 0), (((0, 0),),))
     assert contraction_factor(full, exact=True) == 0
     assert contraction_factor(full, exact=False) == 0.0
-    block = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
+    block = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
     assert contraction_factor(block, exact=True) == 1
     # the end agents share only the middle one, with weight 1/2
-    chain = InfluenceMatrix((0, 1, 2), ((0, 1), (0, 1, 2), (1, 2)))
+    chain = InfluenceMatrix((0, 1, 2), (((0, 1),), ((0, 2),), ((1, 2),)))
     assert contraction_factor(chain, exact=True) == Fraction(1, 2)
     assert isinstance(contraction_factor(chain, exact=False), float)
 
@@ -176,23 +182,88 @@ def test_influence_matrix_validation():
     with pytest.raises(ValueError, match="empty"):
         InfluenceMatrix((), ())
     with pytest.raises(ValueError, match="own neighbor"):
-        InfluenceMatrix((0, 1), ((1,), (0,)))
+        InfluenceMatrix((0, 1), (((1, 1),), ((0, 0),)))
+    with pytest.raises(ValueError, match="own neighbor"):
+        InfluenceMatrix((0,), ((),))
     with pytest.raises(ValueError, match="symmetric"):
-        InfluenceMatrix((0, 1), ((0, 1), (1,)))
+        InfluenceMatrix((0, 1), (((0, 1),), ((1, 1),)))
     with pytest.raises(ValueError, match="in range"):
-        InfluenceMatrix((0,), ((0, 1),))
-    with pytest.raises(ValueError, match="sorted"):
-        InfluenceMatrix((0, 1), ((1, 0), (0, 1)))
+        InfluenceMatrix((0,), (((0, 1),),))
+    with pytest.raises(ValueError, match="in range"):
+        InfluenceMatrix((0, 1), (((-1, 0),), ((0, 1),)))
+    # runs out of order, runs that touch, and a run with lo > hi
+    for runs in (((2, 2), (0, 0)), ((0, 0), (1, 2)), ((0, 0), (2, 1))):
+        with pytest.raises(ValueError, match="sorted, disjoint and maximal"):
+            InfluenceMatrix((0, 1, 2), (runs, ((0, 2),), ((0, 2),)))
     with pytest.raises(ValueError, match="each with an agent"):
-        InfluenceMatrix((0, 0), ((0,), (1,)))
+        InfluenceMatrix((0, 0), (((0, 0),), ((1, 1),)))
     with pytest.raises(ValueError, match="each with an agent"):
-        InfluenceMatrix((0, 2), ((0,), (1,)))
-    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
+        InfluenceMatrix((0, 2), (((0, 0),), ((1, 1),)))
+    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
     assert phi.n_agents == 3
     assert phi.entries == ((1, 1, 0), (1, 1, 0), (0, 0, 1))
-    assert phi.neighbor_lists() == ((0, 1), (0, 1), (2,))
-    assert phi.neighbor_lists(1) == ((1, 2), (1, 2), (3,))
-    assert phi.class_agents() == [[0, 1], [2]]
+    assert phi.class_neighbors == ((0,), (1,))
+    assert list(map(mask_members, phi.neighbor_sets())) == [[0, 1], [2]]
+    # runs as a JSON record holds them, in lists, are stored as tuples
+    assert InfluenceMatrix([0, 0, 1], [[[0, 0]], [[1, 1]]]) == phi
+    # two runs: classes 0 and 2 listen to each other, class 1 to itself
+    split = InfluenceMatrix((0, 1, 2, 0), (((0, 0), (2, 2)), ((1, 1),), ((0, 0), (2, 2))))
+    assert split.class_neighbors == ((0, 2), (1,), (0, 2))
+    assert list(map(mask_members, split.neighbor_sets())) == [[0, 2, 3], [1], [0, 2, 3]]
+    # one run each, ends in order, and class 1's run reversed
+    with pytest.raises(ValueError, match="sorted, disjoint and maximal"):
+        InfluenceMatrix((0, 1), (((0, 0),), ((2, 0),)))
+    # one run per class, reflexive, but class 1 does not listen back to 0
+    with pytest.raises(ValueError, match="symmetric"):
+        InfluenceMatrix((0, 1, 2), (((0, 2),), ((1, 1),), ((0, 2),)))
+
+
+@st.composite
+def class_graphs(draw):
+    # a 0/1 matrix on up to 7 classes, often symmetric, sometimes reflexive
+    n = draw(st.integers(1, 7))
+    links = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        links = [[links[min(c, d)][max(c, d)] for d in range(n)] for c in range(n)]
+    if draw(st.booleans()):
+        for c in range(n):
+            links[c][c] = True
+    labels = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return labels, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_graphs())
+@example((range(3), [[True, True, False], [True, True, True], [False, True, True]]))
+@example((range(3), [[True, False, True], [False, True, False], [True, False, True]]))
+@example((range(3), [[True, True, True], [True, True, False], [False, False, True]]))
+@example((range(3), [[True, True, False], [False, True, True], [False, True, True]]))
+def test_influence_matrix_accepts_exactly_the_reflexive_symmetric_runs(case):
+    labels, links = case
+    n = len(links)
+    runs = [mask_runs(sum(1 << d for d in range(n) if row[d])) for row in links]
+    valid = all(links[c][c] for c in range(n)) and all(
+        links[c][d] == links[d][c] for c in range(n) for d in range(n)
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            InfluenceMatrix(labels, runs)
+        return
+    phi = InfluenceMatrix(labels, runs)
+    assert phi.class_neighbors == tuple(
+        tuple(d for d in range(n) if row[d]) for row in links
+    )
+
+
+# the last two are longer than the prebuilt bit numbers of mask_members
+@pytest.mark.parametrize(
+    "mask", [0, 1, 0b110, 0b1011, 0b1110011, (1 << 200) - 1, 5 << 99, (1 << 1100) - 1, 5 << 1500]
+)
+def test_mask_runs_are_the_maximal_runs_of_set_bits(mask):
+    runs = mask_runs(mask)
+    assert [k for lo, hi in runs for k in range(lo, hi + 1)] == mask_members(mask)
+    assert mask_members(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
+    assert all(a[1] + 1 < b[0] for a, b in zip(runs, runs[1:]))
 
 
 def test_row_stochastic_validation():
@@ -275,7 +346,7 @@ def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):
 
 def test_matrix_helpers():
     x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
-    phi = InfluenceMatrix((0, 0, 1), ((0,), (1,)))
+    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
     stepped = neighbor_means(x, phi)
     assert stepped.entries == (
         (Fraction(1, 2), Fraction(1, 2)),
@@ -292,7 +363,7 @@ def test_matrix_helpers():
 
 def test_neighbor_means_rejects_size_mismatch():
     x = OpinionMatrix(((0, 0), (1, 1)))
-    phi = InfluenceMatrix((0,), ((0,),))
+    phi = InfluenceMatrix((0,), (((0, 0),),))
     with pytest.raises(ValueError):
         neighbor_means(x, phi)
 
@@ -353,7 +424,9 @@ def test_distinct_classes_can_share_neighbors():
     for rule in (ave_neighbors, linf_neighbors):
         phi = rule(TWINS, 0.5)
         assert phi.labels[0] == phi.labels[3] != phi.labels[4]
-        assert phi.neighbor_lists(1)[0] == phi.neighbor_lists(1)[4] == (1, 2, 4, 5)
+        sets = phi.neighbor_sets()
+        assert mask_members(sets[phi.labels[0]]) == mask_members(sets[phi.labels[4]])
+        assert mask_members(sets[phi.labels[0]]) == [0, 1, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -366,9 +439,10 @@ def test_neighbor_classes_equal_all_pairs(case):
         adjacency = _oracle_adjacency(x, epsilon, model)
         phi = rule(x, epsilon)
         assert phi.entries == tuple(map(tuple, adjacency))
-        assert phi.neighbor_lists(1) == tuple(
-            tuple(k for k, linked in enumerate(row, 1) if linked) for row in adjacency
-        )
+        sets = phi.neighbor_sets()
+        assert [mask_members(sets[c]) for c in phi.labels] == [
+            [k for k, linked in enumerate(row) if linked] for row in adjacency
+        ]
 
 
 # means on the quarter grid tie at epsilon, 0.0 and -0.0 are one mean, and
@@ -395,9 +469,8 @@ def test_ave_neighbors_are_windows_over_the_sorted_means(case):
     phi = _neighbors_from_averages(values, epsilon)
     means = sorted(set(values))
     assert [means[c] for c in phi.labels] == list(values)
-    ends = [(nbrs[0], nbrs[-1]) for nbrs in phi.class_neighbors]
-    for (lo, hi), nbrs in zip(ends, phi.class_neighbors):
-        assert nbrs == tuple(range(lo, hi + 1))
+    assert all(len(runs) == 1 for runs in phi.runs)
+    ends = [runs[0] for runs in phi.runs]
     assert all(a <= c and b <= d for (a, b), (c, d) in zip(ends, ends[1:]))
     assert phi.class_neighbors == tuple(
         tuple(d for d, b in enumerate(means) if abs(a - b) <= epsilon) for a in means
@@ -427,8 +500,7 @@ def test_contraction_factor_takes_both_paths_on_ave_matrices(exact):
         config = SimulationConfig("ave", policy.coerce(eps), 6, policy)
         for report in run(config, initial).reports:
             phi = report.influence
-            first, last = phi.class_neighbors[0], phi.class_neighbors[-1]
-            disjoint.add(first[-1] < last[0])
+            disjoint.add(phi.runs[0][0][1] < phi.runs[-1][0][0])
             dense = induced_disagreement_seminorm(row_normalize(phi, exact))
             assert repr(contraction_factor(phi, exact)) == repr(dense)
     assert disjoint == {True, False}

@@ -29,7 +29,7 @@ from hkmulti import (
     uniform_step,
 )
 from hkmulti import properties
-from hkmulti.core import distinct, topic_hulls
+from hkmulti.core import distinct, mask_members, mask_runs, topic_hulls
 from hkmulti.serialize import trajectory_lines
 from hkmulti.oracle import (
     RowStochasticMatrix,
@@ -350,8 +350,8 @@ def _drop_pair(phi, i, k):
     adjacency = [list(row) for row in phi.entries]
     adjacency[i][k] = adjacency[k][i] = 0
     rows, labels = distinct(map(tuple, adjacency))
-    links = [sorted({labels[j] for j, linked in enumerate(row) if linked}) for row in rows]
-    return InfluenceMatrix(labels, links)
+    links = [{labels[j] for j, linked in enumerate(row) if linked} for row in rows]
+    return InfluenceMatrix(labels, [mask_runs(sum(1 << d for d in ds)) for ds in links])
 
 
 @pytest.mark.parametrize("model", ["ave", "uniform"])
@@ -369,7 +369,8 @@ def test_averaging_check_catches_exact_tampering(model):
     # agent 1 and one of its neighbors drop their link in the first
     # step's influence, and the next state stays the same
     report = traj.reports[0]
-    other = next(k for k in report.influence.neighbor_lists()[0] if k != 0)
+    phi = report.influence
+    other = next(k for k in mask_members(phi.neighbor_sets()[phi.labels[0]]) if k != 0)
     dropped = dataclasses.replace(report, influence=_drop_pair(report.influence, 0, other))
     broken = dataclasses.replace(traj, reports=(dropped,) + traj.reports[1:])
     assert check_trajectory(broken, ["averaging-matrix"])[0] == message

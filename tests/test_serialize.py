@@ -74,10 +74,12 @@ def test_trajectory_jsonl_exact_round_trip(tmp_path):
     for t, record in enumerate(records):
         assert record.step == t
         assert record.state.entries == traj.states[t].entries
-    # step records carry 1-based neighbor lists and the diagnostics;
-    # the final record carries none
+    # step records carry the neighbor classes and runs and the diagnostics;
+    # the final record carries none.  The means 0, 1 and 3 are classes 0, 1
+    # and 2, and epsilon 1 joins the first two
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[0]["influence"] == [[1, 2], [1, 2], [3]]
+    assert lines[0]["classes"] == [0, 1, 2]
+    assert lines[0]["runs"] == [[[0, 1]], [[0, 1]], [[2, 2]]]
     assert lines[0]["gamma"] == str(contraction_factor(traj.reports[0].influence, exact=True))
     assert lines[0]["topic_ranges"] == ["3", "3"]
     assert lines[-1].keys() == {"step", "state"}
@@ -100,13 +102,41 @@ def test_trajectory_reader_names_a_bad_record(tmp_path, second, message):
         read_trajectory_jsonl(path, FLOAT)
 
 
-def test_trajectory_jsonl_uses_one_based_agents(tmp_path):
+def test_uniform_trajectory_records_classes_and_runs():
     config = SimulationConfig("uniform", 1.0, 20, FLOAT)
-    traj = run(config, OpinionMatrix(((0.0, 1.0), (0.5, 0.5), (2.0, 0.0))))
-    lines = trajectory_lines(traj)
-    first = json.loads(lines[0])
-    assert first["influence"] == [[1, 2], [1, 2], [3]]
+    traj = run(config, OpinionMatrix(((2.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.0, 1.0))))
+    first = json.loads(trajectory_lines(traj)[0])
+    # agents 2 and 4 share a row and agent 3 is within 1 of it on both topics
+    assert len(first["classes"]) == 4
+    classes = first["classes"]
+    assert classes[1] == classes[3] != classes[2] != classes[0]
+    neighbors = [
+        sorted(k for lo, hi in first["runs"][c] for k in range(lo, hi + 1)) for c in classes
+    ]
+    assert neighbors[0] == [classes[0]]
+    assert neighbors[1] == neighbors[2] == sorted({classes[1], classes[2]})
     assert "gamma" not in first
+
+
+def dump(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_trajectory_lines_render_rows_as_json_dumps_does():
+    # equal rows of distinct sign (0.0 and -0.0) keep their own text, and
+    # every record is the sorted-key dump of its own parse
+    x = OpinionMatrix(((0.0, 1.0), (-0.0, 1.0), (0.5, -0.0), (3.0, 3.0)))
+    for model, policy, epsilon in (("ave", FLOAT, 1.0), ("uniform", FLOAT, 1.0), ("ave", EXACT, 1)):
+        traj = run(SimulationConfig(model, epsilon, 20, policy), x)
+        lines = trajectory_lines(traj)
+        assert len(lines) == traj.n_steps + 1
+        for line, state in zip(lines, traj.states):
+            record = json.loads(line)
+            assert line == dump(record)
+            assert dump(record["state"]) == dump(matrix_tokens(state, policy.is_exact))
+        if policy is FLOAT:
+            assert json.loads(lines[0])["state"][:2] == [[0.0, 1.0], [-0.0, 1.0]]
+            assert lines[0].count("-0.0") == 2
 
 
 def test_trajectory_lines_deterministic():
