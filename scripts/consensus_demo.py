@@ -12,7 +12,7 @@ from hkmulti import (
     MODEL_UNIFORM,
     NumericPolicy,
     SimulationConfig,
-    classify_outcome,
+    classify_run,
     check_trajectory,
     disagreement_seminorm,
     partition_lists,
@@ -36,13 +36,7 @@ def narrate(traj, label):
     else:
         print(f"no fixed point within {traj.config.max_steps} steps")
 
-    report = classify_outcome(
-        traj.final_state,
-        traj.config.epsilon,
-        traj.config.policy,
-        traj.config.model,
-        traj.termination_step,
-    )
+    report = classify_run(traj)
     print(f"outcome: {report.outcome}")
     if report.partition is not None:
         print(f"groups (1-based agents): {partition_lists(report.partition)}")

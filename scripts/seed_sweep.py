@@ -11,10 +11,11 @@ from hkmulti import (
     NumericPolicy,
     SimulationConfig,
     batch_run,
-    classify_outcome,
+    run_row,
     sample_initial,
 )
 from hkmulti.core import check_epsilon
+from hkmulti.serialize import RUN_ROW_FIELDS
 
 
 def main():
@@ -29,6 +30,8 @@ def main():
     ap.add_argument("--mode", choices=("exact", "float"), default="float")
     ap.add_argument("--out", default=None, help="optional per-seed CSV path")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
 
     policy = NumericPolicy.exact() if args.mode == "exact" else NumericPolicy.floating()
     # parsed as hkmulti run does: "0.8" is exactly 4/5 in exact mode
@@ -38,36 +41,14 @@ def main():
     except ValueError as exc:
         ap.error(f"bad --epsilon {args.epsilon!r}: {exc}")
     config = SimulationConfig(args.model, epsilon, args.max_steps, policy)
-    jobs = [
+    jobs = (
         (config, sample_initial(args.agents, args.topics, tuple(args.box), seed, policy))
         for seed in range(args.seeds)
-    ]
-    trajectories = batch_run(jobs)
-
-    rows = []
-    steps = Counter()
-    outcomes = Counter()
-    cluster_counts = Counter()
-    for seed, traj in enumerate(trajectories):
-        report = classify_outcome(
-            traj.final_state, epsilon, policy, args.model, traj.termination_step
-        )
-        n_clusters = report.partition.n_blocks if report.partition is not None else None
-        outcomes[report.outcome] += 1
-        if traj.terminated:
-            steps[traj.termination_step] += 1
-        if n_clusters is not None:
-            cluster_counts[n_clusters] += 1
-        rows.append(
-            {
-                "seed": seed,
-                "terminated": traj.terminated,
-                "termination_step": traj.termination_step,
-                "n_steps": traj.n_steps,
-                "outcome": report.outcome,
-                "n_clusters": n_clusters,
-            }
-        )
+    )
+    rows = [{"seed": seed, **row} for seed, row in enumerate(batch_run(jobs, run_row))]
+    outcomes = Counter(r["outcome"] for r in rows)
+    steps = Counter(r["termination_step"] for r in rows if r["terminated"])
+    cluster_counts = Counter(r["n_clusters"] for r in rows if r["n_clusters"] is not None)
 
     print(
         f"{args.seeds} runs, {args.model} model, epsilon {args.epsilon}, "
@@ -79,7 +60,7 @@ def main():
 
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=["seed", *RUN_ROW_FIELDS])
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {args.out}")

@@ -17,6 +17,7 @@ from .analysis import (
     OutcomeReport,
     Partition,
     classify_outcome,
+    classify_run,
     cluster_means,
     opinion_partition,
     per_topic_partition,
@@ -55,7 +56,7 @@ from .oracle import (
     scalar_hk_step,
 )
 from .properties import ALL_CHECKS, check_trajectory
-from .serialize import partition_lists
+from .serialize import partition_lists, run_row
 from .sim import (
     SimulationConfig,
     Trajectory,
@@ -96,6 +97,7 @@ __all__ = [
     "batch_run",
     "check_trajectory",
     "classify_outcome",
+    "classify_run",
     "cluster_means",
     "contraction_factor",
     "disagreement_seminorm",
@@ -116,6 +118,7 @@ __all__ = [
     "row_average",
     "row_normalize",
     "run",
+    "run_row",
     "sample_initial",
     "scalar_hk_step",
     "topic_range",

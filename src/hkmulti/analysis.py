@@ -28,7 +28,7 @@ from .core import (
     row_average,
     topic_windows,
 )
-from .sim import model_step
+from .sim import Trajectory, model_step
 
 OUTCOME_CONSENSUS = "consensus"
 OUTCOME_CLUSTERING = "clustering"
@@ -65,12 +65,6 @@ class Partition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, i: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if i in block:
-                return b
-        raise KeyError(i)
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
@@ -218,4 +212,17 @@ def classify_outcome(
         average_partition=average_partition,
         partitions_agree=agree,
         min_average_separation=separation,
+    )
+
+
+def classify_run(traj: Trajectory) -> OutcomeReport:
+    """Classify a run's final state under the run's own configuration.
+
+    A terminated run hands over its termination step, so the fixed point
+    ``sim.run`` observed is not stepped again; the last state of a
+    budget-limited run is stepped once to test it.
+    """
+    config = traj.config
+    return classify_outcome(
+        traj.final_state, config.epsilon, config.policy, config.model, traj.termination_step
     )

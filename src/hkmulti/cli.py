@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .analysis import classify_outcome
+from .analysis import classify_outcome, classify_run
 from .core import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -42,6 +42,7 @@ from .serialize import (
     read_json,
     read_matrix_csv,
     read_trajectory_jsonl,
+    run_row,
     scalar_token,
     trajectory_lines,
     write_json,
@@ -266,21 +267,10 @@ def _parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _summary_dict(traj: Trajectory, policy: NumericPolicy) -> dict:
-    """The run's ``summary.json``: its outcome plus run metadata.
-
-    A terminated run hands its termination step to the classifier, which
-    then takes the final state as the fixed point ``run`` observed and
-    does not step it again.
-    """
-    report = classify_outcome(
-        traj.final_state,
-        traj.config.epsilon,
-        policy,
-        traj.config.model,
-        traj.termination_step,
-    )
-    out = outcome_to_dict(report, policy.is_exact)
+def _summary_dict(traj: Trajectory) -> dict:
+    """The run's ``summary.json``: its outcome plus run metadata."""
+    policy = traj.config.policy
+    out = outcome_to_dict(classify_run(traj), policy.is_exact)
     # run-level flag: a budget-limited run may stop on an unconfirmed
     # fixed point, in which case outcome still classifies the snapshot
     out["terminated"] = traj.terminated
@@ -331,7 +321,7 @@ def cmd_run(args) -> int:
     write_json(out_dir / "manifest.json", manifest.to_dict())
     write_trajectory_jsonl(out_dir / "trajectory.jsonl", traj)
     write_matrix_csv(out_dir / "final.csv", traj.final_state, policy.is_exact)
-    summary = _summary_dict(traj, policy)
+    summary = _summary_dict(traj)
     write_json(out_dir / "summary.json", summary)
 
     if traj.terminated:
@@ -355,28 +345,15 @@ def cmd_batch(args) -> int:
     seeds = _parse_seeds(args.seeds)
     bounds = normalize_box(tuple(args.box), args.topics)
     config = SimulationConfig(args.model, epsilon, args.max_steps, policy)
-    jobs = [
+    # each state is drawn as its run starts and each run kept as its row
+    jobs = (
         (config, sample_initial(args.agents, args.topics, bounds, seed, policy))
         for seed in seeds
+    )
+    rows = [
+        {"index": index, "seed": seed, **row}
+        for index, (seed, row) in enumerate(zip(seeds, batch_run(jobs, run_row)))
     ]
-    trajectories = batch_run(jobs)
-
-    rows = []
-    for index, (seed, traj) in enumerate(zip(seeds, trajectories)):
-        report = classify_outcome(
-            traj.final_state, epsilon, policy, args.model, traj.termination_step
-        )
-        rows.append(
-            {
-                "index": index,
-                "seed": seed,
-                "terminated": traj.terminated,
-                "termination_step": traj.termination_step,
-                "n_steps": traj.n_steps,
-                "outcome": report.outcome,
-                "n_clusters": None if report.partition is None else report.partition.n_blocks,
-            }
-        )
     payload = {
         "model": args.model,
         "mode": policy.mode,

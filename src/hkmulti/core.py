@@ -316,9 +316,6 @@ class AverageVector:
         if any(not is_finite(v) for v in vals):
             raise ValueError("average entries must be finite")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class InfluenceMatrix:

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .analysis import (
     OUTCOME_CONSENSUS,
     classify_outcome,
+    classify_run,
     opinion_partition,
     per_topic_partition,
     refines,
@@ -238,14 +239,7 @@ def check_max_gap_stationary(traj: Trajectory) -> list[str]:
                 )
                 break
         if not out and gaps[frozen_at] > 0 and traj.terminated:
-            report = classify_outcome(
-                traj.final_state,
-                traj.config.epsilon,
-                traj.config.policy,
-                traj.config.model,
-                traj.termination_step,
-            )
-            if report.outcome == OUTCOME_CONSENSUS:
+            if classify_run(traj).outcome == OUTCOME_CONSENSUS:
                 out.append("positive stationary mean gap but consensus was reached")
     return out
 
@@ -263,10 +257,7 @@ def check_epsilon_chain_link(traj: Trajectory) -> list[str]:
     ):
         return []
     eps = traj.config.epsilon
-    report = classify_outcome(
-        traj.final_state, eps, traj.config.policy, traj.config.model, traj.termination_step
-    )
-    consensus = report.outcome == OUTCOME_CONSENSUS
+    consensus = classify_run(traj).outcome == OUTCOME_CONSENSUS
     chains = [is_epsilon_chain(m, eps) for m in traj.means]
     out = []
     if consensus != chains[-1]:

@@ -18,7 +18,7 @@ from operator import le
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .analysis import OutcomeReport
+from .analysis import OutcomeReport, Partition, classify_run
 from .core import (
     MODEL_AVE,
     NumericPolicy,
@@ -234,10 +234,9 @@ def read_trajectory_jsonl(
     return records
 
 
-def partition_lists(partition) -> list[list[int]]:
-    """Agent groups as 1-based lists; accepts a Partition or raw blocks."""
-    blocks = getattr(partition, "blocks", partition)
-    return [[i + 1 for i in block] for block in blocks]
+def partition_lists(partition: Partition) -> list[list[int]]:
+    """A partition's agent groups as 1-based lists."""
+    return [[i + 1 for i in block] for block in partition.blocks]
 
 
 def outcome_to_dict(report: OutcomeReport, exact: bool) -> dict:
@@ -257,16 +256,32 @@ def outcome_to_dict(report: OutcomeReport, exact: bool) -> dict:
     }
     if report.partition is not None:
         out["n_clusters"] = report.partition.n_blocks
-        out["partition"] = partition_lists(report.partition.blocks)
+        out["partition"] = partition_lists(report.partition)
     if report.cluster_matrix is not None:
         out["cluster_matrix"] = matrix_tokens(report.cluster_matrix, exact)
     if report.cluster_averages is not None:
         out["cluster_averages"] = [scalar_token(v, exact) for v in report.cluster_averages]
     if report.average_partition is not None:
-        out["average_partition"] = partition_lists(report.average_partition.blocks)
+        out["average_partition"] = partition_lists(report.average_partition)
     if report.min_average_separation is not None:
         out["min_average_separation"] = scalar_token(report.min_average_separation, exact)
     return out
+
+
+# the fields of run_row, in the order a sweep's CSV writes them
+RUN_ROW_FIELDS = ("terminated", "termination_step", "n_steps", "outcome", "n_clusters")
+
+
+def run_row(traj: Trajectory) -> dict:
+    """A sweep's row for one run: how and when it ended, and its clusters."""
+    report = classify_run(traj)
+    return {
+        "terminated": traj.terminated,
+        "termination_step": traj.termination_step,
+        "n_steps": traj.n_steps,
+        "outcome": report.outcome,
+        "n_clusters": None if report.partition is None else report.partition.n_blocks,
+    }
 
 
 def write_json(path: PathLike, obj) -> None:

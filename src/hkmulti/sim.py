@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .avemodel import ave_step
 from .core import (
@@ -32,6 +32,8 @@ from .uniform import uniform_step
 
 # name recorded in manifests for the box sampler below
 GENERATOR_NAME = "python-random-mt19937"
+
+R = TypeVar("R")
 
 
 def model_step(model: str) -> Callable[[OpinionMatrix, Scalar], StepReport]:
@@ -171,11 +173,17 @@ def normalize_box(box: Sequence, n_topics: int) -> tuple[tuple[float, float], ..
 
 
 def batch_run(
-    jobs: Sequence[tuple[SimulationConfig, OpinionMatrix]],
-) -> tuple[Trajectory, ...]:
-    """Run independent jobs one after another, results in job order.
+    jobs: Iterable[tuple[SimulationConfig, OpinionMatrix]],
+    reduce: Callable[[Trajectory], R],
+) -> list[R]:
+    """Run jobs one after another and reduce each trajectory as it ends.
 
-    A plain loop: the steps are pure Python, so threads would only take
-    turns on the GIL.
+    ``jobs`` may be a generator, so a job's initial state is drawn when
+    its run starts, and each trajectory is dropped once ``reduce`` has
+    turned it into what the caller keeps (a summary row, say): a sweep
+    holds one trajectory at a time.  ``reduce`` is a callback because the
+    classifier lives in ``analysis``, which imports this module.  A plain
+    loop: the steps are pure Python, so threads would only take turns on
+    the GIL.
     """
-    return tuple(run(config, x) for config, x in jobs)
+    return [reduce(run(config, x)) for config, x in jobs]

@@ -55,3 +55,20 @@ def exact_policy():
 @pytest.fixture(scope="session")
 def float_policy():
     return FLOAT
+
+
+@pytest.fixture
+def model_steps(monkeypatch):
+    """Count the model steps taken through ``hkmulti.sim``; the value is the call list."""
+    from hkmulti import sim
+
+    calls = []
+    for name in ("ave_step", "uniform_step"):
+        step = getattr(sim, name)
+
+        def counted(x, epsilon, step=step, name=name):
+            calls.append(name)
+            return step(x, epsilon)
+
+        monkeypatch.setattr(sim, name, counted)
+    return calls

@@ -11,12 +11,15 @@ from hkmulti import (
     OpinionMatrix,
     Partition,
     PropertyViolation,
+    SimulationConfig,
     classify_outcome,
+    classify_run,
     cluster_means,
     opinion_partition,
     per_topic_partition,
     refines,
     row_average,
+    run,
 )
 
 EXACT = NumericPolicy.exact()
@@ -28,9 +31,6 @@ def test_partition_normalization_and_equality():
     assert p.blocks == ((0, 2), (1, 3))
     assert p == Partition(((1, 3), (0, 2)))
     assert p.n_items == 4 and p.n_blocks == 2
-    assert p.block_of(3) == 1
-    with pytest.raises(KeyError):
-        p.block_of(9)
 
 
 def test_partition_validation():
@@ -128,6 +128,22 @@ def test_classify_consensus():
     assert report.termination_step == 4
     assert report.partition.n_blocks == 1
     assert report.min_average_separation is None
+
+
+@pytest.mark.parametrize("model", ["ave", "uniform"])
+def test_classify_run_resteps_only_a_budget_limited_run(model_steps, model):
+    x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
+    done = run(SimulationConfig(model, 1, 50, EXACT), x)
+    cut = run(SimulationConfig(model, 1, 1, EXACT), x)
+    assert done.terminated and not cut.terminated
+    model_steps.clear()
+    report = classify_run(done)
+    assert model_steps == []
+    assert report.outcome == OUTCOME_CLUSTERING
+    assert report.termination_step == done.termination_step
+    # the budget ran out on the fixed point, which one more step confirms
+    assert classify_run(cut).outcome == OUTCOME_CLUSTERING
+    assert len(model_steps) == 1
 
 
 def test_classify_not_terminated():

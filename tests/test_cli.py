@@ -600,13 +600,112 @@ def test_fuzzed_neighbor_fields_end_in_an_exit_code(recorded_run, key, value):
     _set_first(key, lambda _: value)(lines)
     tampered = recorded_run.parent / "tampered.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
+    argv = ["verify", "--manifest", str(recorded_run / "manifest.json"),
+            "--trajectory", str(tampered)]
+    assert _exit_code(argv) in (1, 3)
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit code; exit 1 must come with an ``error:`` line.
+
+    An exception that escapes ``main`` (a traceback) fails the test.
+    """
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["verify", "--manifest", str(recorded_run / "manifest.json"),
-                     "--trajectory", str(tampered)])
-    assert code in (1, 3)
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("error:")
+    return code
+
+
+def _key_paths(value, path=()):
+    """Every key path into a JSON value, its own empty path first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _key_paths(item, path + (key,))
+
+
+def _put(value, path, new):
+    """``value`` with ``new`` at ``path``, in place; the root path returns ``new``."""
+    if not path:
+        return new
+    target = value
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return value
+
+
+@pytest.fixture(scope="module")
+def recorded_manifests(recorded_run, tmp_path_factory):
+    """Manifests of a box-init float run and a matrix-init exact run."""
+    out_dir = tmp_path_factory.mktemp("fuzz-matrix") / "out"
+    init = out_dir.parent / "init.csv"
+    write_lines(init, "0,1/2\n1,1\n3,-3\n")
+    argv = ["run", "--model", "uniform", "--epsilon", "1", "--mode", "exact",
+            "--init", str(init), "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    return [recorded_run, out_dir]
+
+
+# a huge agent, topic or step count is a long run, not an input error
+SIZE_KEYS = ("n_agents", "n_topics", "max_steps")
+small_sizes = st.integers(-2, 8) | json_values.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, int)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifests_end_in_an_exit_code(recorded_manifests, data):
+    run_dir = data.draw(st.sampled_from(recorded_manifests))
+    manifest = read_json(run_dir / "manifest.json")
+    path = data.draw(st.sampled_from(list(_key_paths(manifest))))
+    value = data.draw(small_sizes if path and path[-1] in SIZE_KEYS else json_values)
+    tampered = run_dir.parent / "tampered-manifest.json"
+    tampered.write_text(json.dumps(_put(manifest, path, value)))
+    argv = ["verify", "--manifest", str(tampered),
+            "--trajectory", str(run_dir / "trajectory.jsonl")]
+    assert _exit_code(argv) in (0, 1, 3)
+
+
+csv_cells = st.sampled_from(
+    ["0", "1", "-1", "0.5", "-.25", "1/3", "-2/7", "1/0", "1e3", "1e308", "1e-320", "1e4300",
+     "nan", "inf", "-inf", "0x10", "1_0", "True", "", " ", "9" * 40, "é"]
+)
+csv_texts = (
+    st.lists(st.lists(csv_cells, max_size=4), max_size=6).map(
+        lambda rows: "\n".join(",".join(row) for row in rows)
+    )
+    | st.text(alphabet="0123456789-+./eE, \t\r\n", max_size=40)
+    | st.text(max_size=40)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=csv_texts,
+    command=st.sampled_from(["run", "classify"]),
+    model=st.sampled_from(["ave", "uniform"]),
+    mode=st.sampled_from(["exact", "float"]),
+)
+def test_fuzzed_state_csvs_end_in_an_exit_code(tmp_path_factory, text, command, model, mode):
+    work = tmp_path_factory.getbasetemp() / "fuzz-csv"
+    work.mkdir(exist_ok=True)
+    write_lines(work / "state.csv", text)
+    argv = [command, "--model", model, "--mode", mode, "--epsilon", "1/2"]
+    if command == "run":
+        argv += ["--init", str(work / "state.csv"), "--max-steps", "5", "--out-dir", str(work / "out")]
+    else:
+        argv += ["--state", str(work / "state.csv")]
+    _exit_code(argv)
 
 
 @pytest.mark.parametrize("model", ["ave", "uniform"])
@@ -711,38 +810,20 @@ def test_batch_sweep(tmp_path):
     assert payload["n_agents"] == 10
 
 
-def _count_model_steps(monkeypatch):
-    """Wrap both model steps in ``hkmulti.sim``; returns the call list."""
-    from hkmulti import sim
-
-    calls = []
-    for name in ("ave_step", "uniform_step"):
-        step = getattr(sim, name)
-
-        def counted(x, epsilon, step=step, name=name):
-            calls.append(name)
-            return step(x, epsilon)
-
-        monkeypatch.setattr(sim, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("model", ["ave", "uniform"])
-def test_run_steps_the_model_only_inside_the_run(tmp_path, monkeypatch, model):
+def test_run_steps_the_model_only_inside_the_run(tmp_path, model_steps, model):
     # the summary classifies the fixed point the run observed, without a re-step
-    calls = _count_model_steps(monkeypatch)
     out_dir = tmp_path / "out"
     argv = ["run", "--model", model, "--epsilon", "1/2", "--mode", "exact",
             "--agents", "8", "--topics", "2", "--seed", "4", "--out-dir", str(out_dir)]
     assert main(argv) == 0
     summary = read_json(out_dir / "summary.json")
     assert summary["terminated"] is True
-    assert len(calls) == summary["n_steps"]
+    assert len(model_steps) == summary["n_steps"]
 
 
 @pytest.mark.parametrize("model", ["ave", "uniform"])
-def test_batch_steps_the_model_only_inside_the_runs(tmp_path, monkeypatch, model):
-    calls = _count_model_steps(monkeypatch)
+def test_batch_steps_the_model_only_inside_the_runs(tmp_path, model_steps, model):
     target = tmp_path / "batch.json"
     argv = ["batch", "--model", model, "--epsilon", "0.5", "--mode", "float",
             "--agents", "8", "--topics", "2", "--seeds", "0:6", "--threads", "2",
@@ -750,7 +831,7 @@ def test_batch_steps_the_model_only_inside_the_runs(tmp_path, monkeypatch, model
     assert main(argv) == 0
     payload = read_json(target)
     assert payload["all_terminated"] is True
-    assert len(calls) == sum(row["n_steps"] for row in payload["jobs"])
+    assert len(model_steps) == sum(row["n_steps"] for row in payload["jobs"])
 
 
 def test_batch_comma_seeds_and_budget(tmp_path):

@@ -175,7 +175,6 @@ def test_average_vector_validation():
         AverageVector(())
     with pytest.raises(ValueError):
         AverageVector((float("nan"),))
-    assert len(AverageVector((1, 2))) == 2
 
 
 def test_influence_matrix_validation():

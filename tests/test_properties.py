@@ -15,7 +15,7 @@ from hkmulti import (
     Trajectory,
     ave_step,
     check_trajectory,
-    classify_outcome,
+    classify_run,
     contraction_factor,
     disagreement_seminorm,
     globally_ordered,
@@ -451,17 +451,17 @@ def test_mean_checks_average_each_state_once(monkeypatch):
             calls.append(id(x))
         return row_average(x)
 
-    def classify(*args):
+    def classify(traj):
         classifying.append(True)
         try:
-            return classify_outcome(*args)
+            return classify_run(traj)
         finally:
             classifying.pop()
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hkmulti") and getattr(module, "row_average", None) is row_average:
             monkeypatch.setattr(module, "row_average", counted)
-    monkeypatch.setattr(properties, "classify_outcome", classify)
+    monkeypatch.setattr(properties, "classify_run", classify)
     assert check_trajectory(traj, checks) == []
     assert check_trajectory(traj, checks) == []
     assert sorted(calls) == sorted(map(id, traj.states))

@@ -12,11 +12,13 @@ from hkmulti import (
     run,
 )
 from hkmulti.serialize import (
+    RUN_ROW_FIELDS,
     csv_token,
     matrix_tokens,
     outcome_to_dict,
     read_matrix_csv,
     read_trajectory_jsonl,
+    run_row,
     scalar_token,
     trajectory_lines,
     write_matrix_csv,
@@ -169,3 +171,26 @@ def test_outcome_dict_not_terminated():
     assert out["partition"] is None
     assert out["n_clusters"] is None
     json.dumps(out)
+
+
+def test_run_rows():
+    x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
+    done = run(SimulationConfig("ave", 1, 50, EXACT), x)
+    row = run_row(done)
+    assert tuple(row) == RUN_ROW_FIELDS
+    assert row == {
+        "terminated": True,
+        "termination_step": 1,
+        "n_steps": 2,
+        "outcome": "clustering",
+        "n_clusters": 2,
+    }
+    # one step short of the fixed point: the last state is not terminal
+    cut = run(SimulationConfig("ave", 1, 0, EXACT), x)
+    assert run_row(cut) == {
+        "terminated": False,
+        "termination_step": None,
+        "n_steps": 0,
+        "outcome": "not-terminated",
+        "n_clusters": None,
+    }

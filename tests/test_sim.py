@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hkmulti import (
     OpinionMatrix,
     SimulationConfig,
     batch_run,
-    classify_outcome,
+    classify_run,
     run,
     sample_initial,
 )
@@ -128,7 +129,7 @@ def test_batch_run_matches_sequential_runs():
     jobs = [
         (config, sample_initial(6, 2, (-1.0, 1.0), seed, FLOAT)) for seed in range(8)
     ]
-    parallel = batch_run(jobs)
+    parallel = batch_run(jobs, lambda traj: traj)
     for job, traj in zip(jobs, parallel):
         solo = run(*job)
         assert traj.states == solo.states
@@ -136,7 +137,43 @@ def test_batch_run_matches_sequential_runs():
 
 
 def test_batch_run_empty():
-    assert batch_run([]) == ()
+    assert batch_run([], lambda traj: traj) == []
+
+
+def test_batch_run_draws_each_job_as_its_run_starts():
+    config = SimulationConfig("uniform", 0.8, 100, FLOAT)
+    events = []
+
+    def jobs():
+        for seed in range(3):
+            events.append(("draw", seed))
+            yield config, sample_initial(6, 2, (-1.0, 1.0), seed, FLOAT)
+
+    def reduce(traj):
+        events.append(("reduce", traj.states[0].entries))
+        return traj.n_steps
+
+    steps = batch_run(jobs(), reduce)
+    starts = [sample_initial(6, 2, (-1.0, 1.0), seed, FLOAT).entries for seed in range(3)]
+    assert events == [
+        event for seed in range(3) for event in (("draw", seed), ("reduce", starts[seed]))
+    ]
+    assert steps == [run(config, OpinionMatrix(x)).n_steps for x in starts]
+
+
+def test_batch_run_holds_one_trajectory_at_a_time():
+    # each trajectory is gone before the next run is reduced
+    config = SimulationConfig("ave", 0.5, 100, FLOAT)
+    jobs = ((config, sample_initial(8, 2, (-1.0, 1.0), seed, FLOAT)) for seed in range(5))
+    previous = []
+
+    def reduce(traj):
+        assert all(ref() is None for ref in previous)
+        previous.append(weakref.ref(traj))
+        return traj.terminated
+
+    assert batch_run(jobs, reduce) == [True] * 5
+    assert len(previous) == 5
 
 
 @pytest.mark.parametrize(
@@ -158,9 +195,7 @@ def test_exact_and_float_runs_terminate_alike(model, exact_epsilon, float_epsilo
             sample_initial(12, 2, (-1.0, 1.0), seed, policy),
         )
         assert traj.terminated, (policy.mode, seed)
-        report = classify_outcome(
-            traj.final_state, epsilon, policy, model, traj.termination_step
-        )
+        report = classify_run(traj)
         return traj.termination_step, report.outcome, report.partition.n_blocks
 
     differ = [
