@@ -42,7 +42,6 @@ from .core import (
     StepReport,
     contraction_factor,
     disagreement_seminorm,
-    global_range,
     row_average,
     topic_range,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "cluster_means",
     "contraction_factor",
     "disagreement_seminorm",
-    "global_range",
     "globally_ordered",
     "induced_disagreement_seminorm",
     "induced_seminorm_bruteforce",

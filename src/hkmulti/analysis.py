@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     MODEL_AVE,
+    InfluenceMatrix,
     NumericPolicy,
     OpinionMatrix,
     PropertyViolation,
@@ -83,7 +84,8 @@ def _group(rows: Iterable[Sequence[Scalar]], tol: Scalar) -> Partition:
     rule's search) and testing no other pair; so float tolerance
     closeness (not transitive) still yields a genuine partition.
     """
-    labels, windows = topic_windows(rows, tol)
+    close = InfluenceMatrix(*topic_windows(rows, tol))
+    windows = close.window_sets([1 << c for c in range(close.n_classes)])
     parent = list(range(len(windows)))
 
     def find(i: int) -> int:
@@ -99,7 +101,7 @@ def _group(rows: Iterable[Sequence[Scalar]], tol: Scalar) -> Partition:
             if rc != rd:
                 parent[rd] = rc
     groups: dict[int, list[int]] = {}
-    for agent, label in enumerate(labels):
+    for agent, label in enumerate(close.labels):
         groups.setdefault(find(label), []).append(agent)
     return Partition(tuple(tuple(g) for g in groups.values()))
 

@@ -28,17 +28,14 @@ from .core import (
     disagreement_seminorm,
     neighbor_means,
     row_average,
-    sorted_windows,
+    topic_windows,
 )
 
 
 def _neighbors_from_averages(values: tuple[Scalar, ...], epsilon: Scalar) -> InfluenceMatrix:
-    # classes are the distinct means in ascending order (0.0 and -0.0 are
-    # one), so each window of means is one run of classes
-    means = sorted(set(values))
-    rank = {a: c for c, a in enumerate(means)}
-    runs = [((w.start, w.stop - 1),) for w in sorted_windows(means, epsilon)]
-    return InfluenceMatrix(list(map(rank.__getitem__, values)), runs)
+    # one-column rows: the classes are the distinct means in ascending
+    # order (0.0 and -0.0 are one), and each has one window over them
+    return InfluenceMatrix(*topic_windows(zip(values), epsilon))
 
 
 def ave_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:

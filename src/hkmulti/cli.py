@@ -64,14 +64,15 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
-FORMAT_REVISION = 3
+FORMAT_REVISION = 4
 # largest START:END range that batch accepts
 MAX_SEEDS = 100_000
 MANIFEST_KEYS = ("model", "mode", "epsilon", "max_steps", "tolerances", "init")
 TOLERANCE_KEYS = ("tau_fix", "tau_cluster")
 BOX_INIT_KEYS = ("n_agents", "n_topics", "box", "seed", "generator")
-# a negative decimal or scientific number is a flag's value, never a flag
-_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?\Z")
+# a negative decimal or scientific number, or a seed range that starts
+# below zero, is a flag's value, never a flag
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+:-?\d+)\Z")
 
 
 class UsageError(Exception):
@@ -98,8 +99,16 @@ def _check_init(init: dict) -> None:
         for key in ("n_agents", "n_topics", "seed"):
             json_int(init[key], f"manifest init {key!r}")
         box = json_rows(init["box"], "manifest init 'box'")
-        if not all(_is_number(v) for pair in box for v in pair):
-            raise ValueError("manifest init 'box' must hold numbers")
+        if not all(len(pair) == 2 and all(map(_is_number, pair)) for pair in box):
+            raise ValueError("manifest init 'box' must hold [lo, hi] pairs of numbers")
+
+
+def _coerce_key(coerce, value, what: str):
+    """``coerce(value)``, with a ValueError that names ``what``."""
+    try:
+        return coerce(value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,8 @@ class RunManifest:
         policy = self.policy()
         init = self.init
         if init.get("kind") == "matrix":
-            return OpinionMatrix(policy.coerce_rows(init["entries"]))
+            rows = _coerce_key(policy.coerce_rows, init["entries"], "manifest init 'entries'")
+            return OpinionMatrix(rows)
         if init.get("kind") == "box":
             if init.get("generator") != GENERATOR_NAME:
                 raise ValueError(f"unsupported generator {init.get('generator')!r}")
@@ -190,7 +200,8 @@ class RunManifest:
             init=raw["init"],
             tool_version=str(raw.get("tool_version", "")),
         )
-        return replace(manifest, epsilon=manifest.policy().coerce(raw["epsilon"]))
+        epsilon = _coerce_key(manifest.policy().coerce, raw["epsilon"], "manifest 'epsilon'")
+        return replace(manifest, epsilon=epsilon)
 
 
 class Parser(argparse.ArgumentParser):

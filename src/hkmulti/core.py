@@ -16,15 +16,15 @@ computed once: each part of a step runs once per distinct row, mean or
 neighbor set (:func:`distinct`) and agents with equal values share the
 result.  Values are grouped by ``==``, so ``0.0`` and ``-0.0`` form one
 class; every difference and comparison the rules take treats them alike.
-:class:`InfluenceMatrix` keeps exactly this structure, the class of each
-agent and the neighbor classes of each class as runs of consecutive class
-numbers.  The ``ave`` rule numbers its classes by mean, so each class has
-one run, a window over the sorted means, and the matrix is checked with
-O(N + C) big-int operations.  Every consumer (:func:`neighbor_means`,
-:func:`contraction_factor`, the JSONL ``classes`` and ``runs``, the
-``averaging-matrix`` check) reads the runs directly.  The dense N x N
-matrix is a view for outside readers; the dense averaging matrix and its
-seminorm are references in :mod:`hkmulti.oracle`.
+:class:`InfluenceMatrix` keeps exactly this structure: the class of each
+agent, and each class's confidence window in each of the orders that
+the neighbor rule sorts the classes by (one for ``ave``, one per topic
+for ``uniform``).  Every consumer (:func:`neighbor_means`,
+:func:`contraction_factor`, the JSONL ``classes``, ``orders`` and
+``windows``, the ``averaging-matrix`` check) reads the windows directly.
+The dense N x N matrix is a view for outside readers; the dense
+averaging matrix and its seminorm are references in
+:mod:`hkmulti.oracle`.
 :class:`OpinionMatrix` therefore holds floats only or exact values
 only: a float equal to a Fraction would share its class but not its
 arithmetic.
@@ -36,18 +36,19 @@ import math
 import re
 import reprlib
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, count, repeat
-from operator import add, or_, xor
+from operator import add, and_, le, or_
 from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 Scalar = Union[int, float, Fraction]
 K = TypeVar("K", bound=Hashable)
-# (lo, hi): the consecutive class numbers lo..hi, both ends included
-Run = tuple[int, int]
+# (lo, hi): the consecutive positions lo..hi of an order, both ends included
+Window = tuple[int, int]
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
@@ -104,8 +105,8 @@ def distinct(values: Iterable[K]) -> tuple[list[K], list[int]]:
     return list(index), labels
 
 
-def sorted_windows(values: Sequence[Scalar], epsilon: Scalar) -> list[slice]:
-    """For each of the ascending ``values``, the slice of positions within epsilon of it.
+def sorted_windows(values: Sequence[Scalar], epsilon: Scalar) -> list[Window]:
+    """For each of the ascending ``values``, the window ``(lo, hi)`` of positions within epsilon.
 
     ``abs(a - b) <= epsilon`` holds on one run of positions whose ends
     never move back as ``a`` grows, so two pointers find every window;
@@ -120,46 +121,39 @@ def sorted_windows(values: Sequence[Scalar], epsilon: Scalar) -> list[slice]:
             lo += 1
         while end < len(values) and abs(a - values[end]) <= epsilon:
             end += 1
-        out.append(slice(lo, end))
+        out.append((lo, end - 1))
     return out
-
-
-# maps the digits of bin() to the bytes 0 and 1, for itertools.compress
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def topic_windows(
     rows: Iterable[Sequence[Scalar]], tol: Scalar
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each row's class, and each class's per-topic windows as bitsets of classes.
+) -> tuple[list[int], list[list[int]], list[list[Window]]]:
+    """Each row's class, and the classes' windows within ``tol`` on every topic.
 
     Classes are the distinct rows numbered in topic-0 order (ties in
-    first-seen order), so the classes of a topic-0 window are consecutive
-    numbers.  On each topic the classes sorted by value have one window
-    each (:func:`sorted_windows`, within ``tol``), and a window is a run
-    of that order, so its bitset is the difference of two prefix bitsets.
-    ``tol`` may be 0.
+    first-seen order).  Each topic orders the classes by their value on
+    it, ties by class number, so topic 0's order is the identity and only
+    the orders of topics 1..m-1 are returned.  A class's window in an
+    order is the run of positions within ``tol`` of it
+    (:func:`sorted_windows`); ``tol`` may be 0.  The result is the
+    arguments of :class:`InfluenceMatrix`.
     """
     classes, labels = distinct(rows)
     order = sorted(range(len(classes)), key=[row[0] for row in classes].__getitem__)
     rank = [0] * len(classes)
     for c, seen in enumerate(order):
         rank[seen] = c
-    classes = list(map(classes.__getitem__, order))
     labels = list(map(rank.__getitem__, labels))
-    per_topic = []
-    for column in zip(*classes):
-        order = sorted(range(len(classes)), key=column.__getitem__)
-        prefix = [0]
-        for c in order:
-            prefix.append(prefix[-1] | 1 << c)
-        masks = [0] * len(classes)
-        for c, w in zip(order, sorted_windows([column[c] for c in order], tol)):
-            masks[c] = prefix[w.stop] ^ prefix[w.start]
-        per_topic.append(masks)
-    return labels, list(zip(*per_topic))
+    first, *columns = zip(*map(classes.__getitem__, order))
+    orders = [sorted(range(len(first)), key=column.__getitem__) for column in columns]
+    windows = [sorted_windows(first, tol)]
+    for column, order in zip(columns, orders):
+        windows.append(sorted_windows(list(map(column.__getitem__, order)), tol))
+    return labels, orders, windows
 
 
+# maps the digits of bin() to the bytes 0 and 1, for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 # bit numbers for compress to pick from, built once: count() would
 # allocate an int for every bit, which doubles the time for 1000 bits
 _INDEX = tuple(range(1 << 10))
@@ -169,18 +163,6 @@ def mask_members(mask: int) -> list[int]:
     """The set bits of ``mask``, lowest first."""
     bits = bin(mask)[:1:-1].encode().translate(_BITS)
     return list(compress(_INDEX if len(bits) <= len(_INDEX) else count(), bits))
-
-
-def mask_runs(mask: int) -> tuple[Run, ...]:
-    """The maximal runs of set bits of ``mask`` as (lo, hi) positions, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        # adding the lowest bit carries through its run into the bit above it
-        top = (mask + low) & ~mask
-        out.append((low.bit_length() - 1, top.bit_length() - 2))
-        mask &= -top
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -321,107 +303,106 @@ class AverageVector:
 class InfluenceMatrix:
     """Interaction graph of agents, held as classes of agents with equal neighbors.
 
-    ``labels[i]`` is agent i's class, numbered 0..C-1; ``runs[c]`` holds
-    the classes class c listens to, c itself included, as maximal disjoint
-    runs ``(lo, hi)`` of consecutive class numbers in ascending order.  The
-    ``ave`` rule gives every class one run, a window over the classes
-    sorted by mean.  Construction checks the numbering, the runs,
-    reflexivity and symmetry; each class's row is tested against its
-    column of the transpose as bitsets of classes, with O(runs) big-int
-    operations, so an ``ave`` matrix costs O(N + C) of them.  Runs given
-    as lists are stored as tuples.
-    :attr:`class_neighbors` and :attr:`entries` are expanded views.
+    ``labels[i]`` is agent i's class, numbered 0..C-1.  Both neighbor
+    rules are confidence windows over k orders of the classes: the ``ave``
+    rule has one, the classes by mean; the ``uniform`` rule has one per
+    topic.  Classes are numbered in the first order, which is therefore
+    the identity; ``orders`` lists the k - 1 after it, each as the class at
+    every position.  ``windows[o][p] = (lo, hi)`` are the positions that
+    the class at position p of order o listens to, both ends included, and
+    a class's neighbors are the classes in its window in every order.
+
+    An AND of symmetric relations is symmetric, so construction checks
+    each order on its own with O(C) small-int steps and no bitset: the
+    windows lie in range, hold their own position and have nondecreasing
+    ends, and ``lo_p`` is the first q with ``hi_q >= p``.  These hold
+    exactly when the order's window relation is reflexive and symmetric.
+    Lists are stored as tuples.  :attr:`entries` is a dense view.
     """
 
     labels: tuple[int, ...]
-    runs: tuple[tuple[Run, ...], ...]
+    orders: tuple[tuple[int, ...], ...]
+    windows: tuple[tuple[Window, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        # equal runs share one tuple: under the ``uniform`` rule a one-class
-        # run (d, d) recurs in the runs of most neighbors of d
-        shared: dict[Run, Run] = {}
-        runs = []
-        for pairs in self.runs:
-            pairs = list(map(tuple, pairs))
-            runs.append(tuple(map(shared.setdefault, pairs, pairs)))
-        object.__setattr__(self, "runs", tuple(runs))
-        if not self.labels:
+        object.__setattr__(self, "orders", tuple(map(tuple, self.orders)))
+        windows = tuple(tuple(map(tuple, w)) for w in self.windows)
+        object.__setattr__(self, "windows", windows)
+        if not self.labels or not windows:
             raise ValueError("empty influence matrix")
-        if set(self.labels) != set(range(len(self.runs))):
+        n = len(windows[0])
+        if set(self.labels) != set(range(n)):
             raise ValueError("labels must number the classes 0..C-1, each with an agent")
-        self._check_runs()
-
-    def _check_runs(self) -> None:
-        n = len(self.runs)
-        # ones[k] has bits 0..k-1 set, so run (lo, hi) is ones[hi + 1] - ones[lo]
-        ones = [(1 << k) - 1 for k in range(n + 1)]
-        rows = []
-        # column c of the matrix, as a bitset of classes, is the running XOR
-        # of flips[0..c]: bit d flips where a run of class d starts and
-        # again just past its end
-        flips = [0] * (n + 1)
-        for d, runs in enumerate(self.runs):
-            bit = 1 << d
-            row = 0
-            # one past the end of the last run
-            end = -1
-            for lo, hi in runs:
-                # the first run starts at 0 or later, each next one past
-                # the gap after the last, and none ends past n - 1
-                if not end < lo <= hi < n:
-                    if lo < 0 or hi >= n:
-                        raise ValueError("neighbor classes must be in range")
-                    raise ValueError("neighbor runs must be sorted, disjoint and maximal")
-                end = hi + 1
-                row += ones[end] - ones[lo]
-                flips[lo] ^= bit
-                flips[end] ^= bit
-            if not row >> d & 1:
-                raise ValueError("every agent must be its own neighbor")
-            rows.append(row)
-        if list(accumulate(flips[:n], xor)) != rows:
-            raise ValueError("influence matrix must be symmetric")
+        if len(self.orders) != len(windows) - 1:
+            raise ValueError("need one window list per order")
+        classes = list(range(n))
+        for order in self.orders:
+            if sorted(order) != classes:
+                raise ValueError("each order must list every class once")
+        for w in windows:
+            _check_windows(w, n)
 
     @property
     def n_agents(self) -> int:
         return len(self.labels)
 
     @property
-    def class_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each class's neighbor classes, sorted: its runs expanded."""
-        return tuple(
-            tuple(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs))
-            for runs in self.runs
-        )
+    def n_classes(self) -> int:
+        return len(self.windows[0])
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense N x N 0/1 adjacency, built anew on each read; a class shares one row."""
-        rows = []
-        for nbrs in self.class_neighbors:
-            linked = dict.fromkeys(nbrs, 1)
-            rows.append(tuple(map(linked.get, self.labels, repeat(0))))
+        bits = [bin(s)[:1:-1].ljust(self.n_agents, "0") for s in self.neighbor_sets()]
+        rows = [tuple(b.encode().translate(_BITS)) for b in bits]
         return tuple(map(rows.__getitem__, self.labels))
+
+    def window_sets(self, members: Sequence[int]) -> list[tuple[int, ...]]:
+        """For each class, the bitset of its window in each order.
+
+        ``members[c]`` is class c's bitset, such as its agents or ``1 << c``.
+        A window is a run of its order, so its bitset is the difference of
+        two prefix ORs along that order.
+        """
+        per_order = []
+        for order, windows in zip(chain([range(len(members))], self.orders), self.windows):
+            prefix = list(accumulate(map(members.__getitem__, order), or_, initial=0))
+            sets = [0] * len(members)
+            for c, (lo, hi) in zip(order, windows):
+                sets[c] = prefix[hi + 1] ^ prefix[lo]
+            per_order.append(sets)
+        return list(zip(*per_order))
 
     def neighbor_sets(self) -> list[int]:
         """For each class, its neighbor agents as a bitset: bit k is agent k.
 
-        A run's agents are the difference of two prefix ORs of the classes'
-        member bitsets, so :func:`mask_members` lists them in ascending
-        order with no merge of member lists.
+        The AND of its windows' agents, so :func:`mask_members` lists them
+        in ascending order with no merge of member lists.
         """
-        members = [0] * len(self.runs)
+        members = [0] * self.n_classes
         for k, c in enumerate(self.labels):
             members[c] |= 1 << k
-        prefix = list(accumulate(members, or_, initial=0))
-        sets = []
-        for runs in self.runs:
-            agents = 0
-            for lo, hi in runs:
-                agents |= prefix[hi + 1] ^ prefix[lo]
-            sets.append(agents)
-        return sets
+        return [reduce(and_, w) for w in self.window_sets(members)]
+
+
+def _check_windows(windows: Sequence[Window], n: int) -> None:
+    """Raise ValueError unless one order's windows are a reflexive, symmetric relation."""
+    if len(windows) != n or set(map(len, windows)) != {2}:
+        raise ValueError("need one (lo, hi) window per class in each order")
+    los, his = zip(*windows)
+    positions = range(n)
+    if min(los) < 0 or max(his) >= n:
+        raise ValueError("windows must be in range")
+    if not all(map(le, los, positions)) or not all(map(le, positions, his)):
+        raise ValueError("every agent must be its own neighbor")
+    if not all(map(le, los, los[1:])) or not all(map(le, his, his[1:])):
+        raise ValueError("window ends must never decrease")
+    # for q <= p, q is in p's window iff lo_p <= q, and p in q's iff
+    # hi_q >= p: with nondecreasing his, that is every q from the first
+    # with hi_q >= p on, so the two agree iff lo_p is that q
+    if list(map(bisect_left, repeat(his, n), positions)) != list(los):
+        raise ValueError("influence matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -472,15 +453,17 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     sum does, so both forms agree bit for bit.  Only distinct neighbor sets are paired; a
     set shared by two agents also overlaps itself.  One agent gives 0.
 
-    When the neighbor runs of the first and the last class cannot meet
-    (their spans do not overlap as intervals), that pair shares no agent
-    and the result is 1 - 0 at once.  For the ``ave`` rule, whose classes
-    are windows over the sorted means with nondecreasing ends (Blondel,
-    Hendrickx & Tsitsiklis, IEEE TAC 2009), the test is exact: if the two
-    extreme windows meet, every pair meets.
+    When the first order's windows of its two end classes do not meet,
+    those classes share no agent and the result is 1 - 0 at once.  For
+    the ``ave`` rule, whose windows over the sorted means have
+    nondecreasing ends (Blondel, Hendrickx & Tsitsiklis, IEEE TAC 2009),
+    the test is exact: if the two extreme windows meet, every pair meets.
+    Repeated addition of a positive weight never decreases, so each
+    degree's least overlap is at its smallest count, and only that one
+    is summed.
     """
-    first, last = phi.runs[0], phi.runs[-1]
-    if first[-1][1] < last[0][0] or last[-1][1] < first[0][0]:
+    first = phi.windows[0]
+    if first[0][1] < first[-1][0]:
         return 1 - _overlap(0, 1, exact)
     # neighbor sets as agent bitsets; a popcount is a degree or an overlap
     sets, set_of = distinct(phi.neighbor_sets())
@@ -493,7 +476,10 @@ def contraction_factor(phi: InfluenceMatrix, exact: bool) -> Scalar:
     keys.update((d, d) for c, (_, d) in enumerate(sized) if repeats[c] > 1)
     if not keys:
         return 0
-    return 1 - min(_overlap(count, degree, exact) for count, degree in keys)
+    least: dict[int, int] = {}
+    for count, degree in keys:
+        least[degree] = min(count, least.get(degree, count))
+    return 1 - min(_overlap(count, degree, exact) for degree, count in least.items())
 
 
 def _overlap(count: int, degree: int, exact: bool) -> Scalar:
@@ -515,11 +501,6 @@ def topic_range(x: OpinionMatrix, topic: int) -> Scalar:
 def topic_hulls(x: OpinionMatrix) -> tuple[tuple[Scalar, Scalar], ...]:
     """Each topic's (min, max) opinion; ``max - min`` is its range."""
     return tuple((min(col), max(col)) for col in zip(*x.entries))
-
-
-def global_range(x: OpinionMatrix) -> Scalar:
-    """Largest per-topic opinion range."""
-    return max(topic_range(x, j) for j in range(x.n_topics))
 
 
 def neighbor_means(x: OpinionMatrix, influence: InfluenceMatrix) -> OpinionMatrix:

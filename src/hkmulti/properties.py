@@ -81,7 +81,7 @@ def check_averaging_step(traj: Trajectory) -> list[str]:
     """Each step applies the degree-normalized influence matrix to the state.
 
     Row i of that matrix puts weight 1/deg on each neighbor of i, so the
-    product is taken over the agents of the recorded neighbor runs, once
+    product is taken over the agents of the recorded neighbor windows, once
     per class of agents with equal neighbors.  It sums weighted rows where
     the step divides a sum, so float results differ by rounding.
     """

@@ -5,7 +5,8 @@ decimals, so both regimes survive a write/read cycle unchanged.  JSON
 objects are written with sorted keys and fixed separators; a rerun of
 the same configuration therefore reproduces files byte for byte.
 Agents and topics are 1-based in every external format; the class
-numbers of a trajectory record's ``classes`` and ``runs`` count from 0.
+numbers and order positions of a trajectory record's ``classes``,
+``orders`` and ``windows`` count from 0.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ def trajectory_lines(traj: Trajectory) -> list[str]:
     """JSONL records: one per step with diagnostics, then the final state.
 
     Step records carry the pre-step state, the step's influence matrix as
-    ``classes`` (each agent's class, numbered from 0) and ``runs`` (each
-    class's neighbor classes as ``[lo, hi]`` runs), the per-topic ranges
+    ``classes`` (each agent's class, numbered from 0), ``orders`` (the
+    class at each position of every order after the first, which is the
+    identity) and ``windows`` (per order, each position's ``[lo, hi]``
+    window of positions), the per-topic ranges
     of that state, and (average-based model only) the contraction factor
     of the step's averaging matrix.
     """
@@ -120,7 +123,8 @@ def trajectory_lines(traj: Trajectory) -> list[str]:
         fields = {
             "step": t,
             "classes": report.influence.labels,
-            "runs": report.influence.runs,
+            "orders": report.influence.orders,
+            "windows": report.influence.windows,
             "topic_ranges": [scalar_token(hi - lo, exact) for lo, hi in traj.hulls[t]],
         }
         if traj.config.model == MODEL_AVE:
@@ -160,14 +164,14 @@ def _are_classes(values: list) -> bool:
     """True when every value is a JSON integer >= 0.
 
     A JSON true parses to a bool, which is an int but no class number.
-    The tests map builtins over the list, as a file holds many runs.
+    The tests map builtins over the list, as a file holds many windows.
     """
     return set(map(type, values)) <= {int} and (not values or min(values) >= 0)
 
 
-def _are_runs(runs: list) -> bool:
-    """True when each class's runs are [lo, hi] class pairs with lo <= hi."""
-    pairs = list(chain.from_iterable(runs))
+def _are_windows(windows: list) -> bool:
+    """True when each order's windows are [lo, hi] position pairs with lo <= hi."""
+    pairs = list(chain.from_iterable(windows))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         return False
     los, his = (list(ends) for ends in zip(*pairs)) if pairs else ([], [])
@@ -202,10 +206,14 @@ def read_trajectory_jsonl(
             labels = raw["classes"]
             if not isinstance(labels, list) or not _are_classes(labels):
                 raise ValueError(f"{where} 'classes' must be a list of class numbers")
-        if "runs" in raw:
-            runs = json_rows(raw["runs"], f"{where} 'runs'")
-            if not _are_runs(runs):
-                raise ValueError(f"{where} 'runs' must hold [lo, hi] class pairs, lo <= hi")
+        if "orders" in raw:
+            orders = json_rows(raw["orders"], f"{where} 'orders'")
+            if not all(map(_are_classes, orders)):
+                raise ValueError(f"{where} 'orders' must be lists of class numbers")
+        if "windows" in raw:
+            windows = json_rows(raw["windows"], f"{where} 'windows'")
+            if not _are_windows(windows):
+                raise ValueError(f"{where} 'windows' must hold [lo, hi] position pairs, lo <= hi")
         if "topic_ranges" in raw:
             if not isinstance(raw["topic_ranges"], list):
                 raise ValueError(f"{where} 'topic_ranges' must be a list")

@@ -18,7 +18,6 @@ from .core import (
     Scalar,
     StepReport,
     check_epsilon,
-    mask_runs,
     neighbor_means,
     topic_windows,
 )
@@ -33,8 +32,7 @@ def linf_neighbors(x: OpinionMatrix, epsilon: Scalar) -> InfluenceMatrix:
     sorted on that topic with the unchanged predicate.
     """
     check_epsilon(epsilon)
-    labels, windows = topic_windows(x.entries, epsilon)
-    return InfluenceMatrix(labels, [mask_runs(reduce(and_, w)) for w in windows])
+    return InfluenceMatrix(*topic_windows(x.entries, epsilon))
 
 
 def uniform_step(x: OpinionMatrix, epsilon: Scalar) -> StepReport:
@@ -55,8 +53,9 @@ def one_step_preservation_hypothesis(x: OpinionMatrix, epsilon: Scalar) -> bool:
     (their OR).
     """
     check_epsilon(epsilon)
-    _, windows = topic_windows(x.entries, epsilon)
-    return all(reduce(and_, w) == reduce(or_, w) for w in windows)
+    phi = InfluenceMatrix(*topic_windows(x.entries, epsilon))
+    classes = [1 << c for c in range(phi.n_classes)]
+    return all(reduce(and_, w) == reduce(or_, w) for w in phi.window_sets(classes))
 
 
 def globally_ordered(x: OpinionMatrix) -> Optional[tuple[int, ...]]:

@@ -438,7 +438,7 @@ def _drop_key(key):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_bump_topic_range, _drop_key("gamma"), _drop_key("runs"), _drop_last_record],
+    [_bump_topic_range, _drop_key("gamma"), _drop_key("windows"), _drop_last_record],
     ids=["topic-range", "no-gamma", "no-influence", "no-last-record"],
 )
 def test_verify_compares_float_records_with_the_replay(tmp_path, capsys, tamper):
@@ -470,6 +470,16 @@ def _set_first(key, edit):
     return _set_record(0, key, edit)
 
 
+def _first_window(edit):
+    """An edit of a record's ``windows`` that replaces the first window."""
+
+    def tamper(windows):
+        first = edit(*windows[0][0])
+        return [[first] + windows[0][1:]] + windows[1:]
+
+    return tamper
+
+
 def _drop_from_first(key):
     def tamper(lines):
         first = json.loads(lines[0])
@@ -483,7 +493,7 @@ def _drop_from_first(key):
 @pytest.mark.parametrize(
     "tamper",
     [
-        _set_first("runs", lambda runs: [pair for pairs in runs for pair in pairs]),
+        _set_first("windows", lambda windows: [pair for pairs in windows for pair in pairs]),
         _set_first("classes", lambda labels: [1.5] + labels[1:]),
         _set_first("topic_ranges", lambda ranges: ranges[0]),
         _set_first("topic_ranges", lambda ranges: ["wide"] + ranges[1:]),
@@ -498,18 +508,25 @@ def _drop_from_first(key):
         _set_record(1, "state", lambda rows: rows[:-1]),
         _drop_from_first("state"),
         _drop_from_first("step"),
-        # a run is a [lo, hi] pair of class numbers with lo <= hi
-        _set_first("runs", lambda runs: [[[True, runs[0][0][1]]]] + runs[1:]),
-        _set_first("runs", lambda runs: [[[0.0, runs[0][0][1]]]] + runs[1:]),
-        _set_first("runs", lambda runs: [[runs[0][0] + [runs[0][0][1]]]] + runs[1:]),
-        _set_first("runs", lambda runs: [[[runs[0][0][1] + 1, runs[0][0][1]]]] + runs[1:]),
-        _set_first("runs", lambda runs: [[[-1, runs[0][0][1]]]] + runs[1:]),
+        # a window is a run [lo, hi] of positions with lo <= hi
+        _set_first("windows", _first_window(lambda lo, hi: [True, hi])),
+        _set_first("windows", _first_window(lambda lo, hi: [0.0, hi])),
+        _set_first("windows", _first_window(lambda lo, hi: [lo, hi, hi])),
+        _set_first("windows", _first_window(lambda lo, hi: [hi + 1, hi])),
+        _set_first("windows", _first_window(lambda lo, hi: [-1, hi])),
+        _set_first("windows", lambda windows: [1]),
         _set_first("classes", lambda labels: labels[:-1]),
+        # an order lists class numbers; the ave rule's one order is implied
+        _set_first("orders", lambda orders: [1]),
+        _set_first("orders", lambda orders: [[True]]),
+        _set_first("orders", lambda orders: [[0.0]]),
+        _set_first("orders", lambda orders: [[-1]]),
     ],
     ids=["influence-flat", "agent-not-int", "ranges-not-list", "range-not-number",
          "gamma-not-number", "state-bool", "agent-bool", "range-bool", "gamma-bool",
          "fewer-topics", "fewer-agents", "no-state", "no-step", "run-bool", "run-float",
-         "run-triple", "run-reversed", "run-negative", "classes-short"],
+         "run-triple", "run-reversed", "run-negative", "windows-not-rows", "classes-short",
+         "orders-not-rows", "order-bool", "order-float", "order-negative"],
 )
 def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
     # the reader keeps only steps and states, but still type-checks the rest
@@ -532,20 +549,21 @@ def test_malformed_diagnostics_exit_1(tmp_path, capsys, tamper, command):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def _widen_all(runs):
+def _widen_all(windows):
     # every class listens to every class: symmetric, and not the rule's graph
-    top = max(hi for pairs in runs for _, hi in pairs)
-    return [[[0, top]] for _ in runs]
+    (ends,) = windows
+    return [[[0, len(ends) - 1]] * len(ends)]
 
 
-def _widen_class_0(runs):
-    # class 0 alone gains the class just past its run: no longer symmetric
-    top = max(hi for pairs in runs for _, hi in pairs)
-    return [[[0, min(runs[0][-1][1] + 1, top)]]] + runs[1:]
+def _widen_class_0(windows):
+    # class 0 alone gains the class just past its window: no longer symmetric
+    (ends,) = windows
+    return [[[0, min(ends[0][1] + 1, len(ends) - 1)]] + ends[1:]]
 
 
 @pytest.mark.parametrize("edit", [_widen_all, _widen_class_0], ids=["widened", "asymmetric"])
 def test_verify_catches_tampered_runs(tmp_path, capsys, edit):
+    # each window of the ave rule's one order is a run of classes
     out_dir = tmp_path / "out"
     argv = ["run", "--model", "ave", "--epsilon", "0.5", "--mode", "float",
             "--agents", "6", "--topics", "2", "--seed", "3", "--out-dir", str(out_dir)]
@@ -553,7 +571,7 @@ def test_verify_catches_tampered_runs(tmp_path, capsys, edit):
     path = out_dir / "trajectory.jsonl"
     lines = path.read_text().splitlines()
     before = lines[0]
-    _set_first("runs", edit)(lines)
+    _set_first("windows", edit)(lines)
     assert lines[0] != before
     path.write_text("\n".join(lines) + "\n")
 
@@ -586,23 +604,26 @@ json_values = st.recursive(
     max_leaves=30,
 )
 # near misses: the right nesting with small, possibly negative or reversed numbers
-near_runs = st.lists(st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=3), max_size=8)
+near_windows = st.lists(st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=8), max_size=3)
 near_classes = st.lists(st.integers(-1, 8), max_size=8)
+near_orders = st.lists(near_classes, max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    key=st.sampled_from(["classes", "runs"]),
-    value=st.one_of(json_values, near_runs, near_classes),
+    key=st.sampled_from(["classes", "orders", "windows"]),
+    value=st.one_of(json_values, near_windows, near_classes, near_orders),
 )
 def test_fuzzed_neighbor_fields_end_in_an_exit_code(recorded_run, key, value):
-    lines = (recorded_run / "trajectory.jsonl").read_text().splitlines()
+    recorded = (recorded_run / "trajectory.jsonl").read_text().splitlines()
+    lines = list(recorded)
     _set_first(key, lambda _: value)(lines)
     tampered = recorded_run.parent / "tampered.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
     argv = ["verify", "--manifest", str(recorded_run / "manifest.json"),
             "--trajectory", str(tampered)]
-    assert _exit_code(argv) in (1, 3)
+    # the ave rule's orders are [], which the fuzzer may draw unchanged
+    assert _exit_code(argv) in ((1, 3) if lines != recorded else (0,))
 
 
 def _exit_code(argv):
@@ -736,7 +757,8 @@ def test_verify_rejects_manifest_booleans(tmp_path, capsys, key):
 
     capsys.readouterr()
     assert main(["verify", "--run-dir", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith("error: True is not a representable number")
+    where = "manifest 'epsilon'" if key == "epsilon" else "manifest init 'entries'"
+    assert capsys.readouterr().err.startswith(f"error: {where}: True is not a representable number")
 
 
 def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
@@ -767,8 +789,10 @@ def test_verify_rejects_unknown_manifest_revision(tmp_path, capsys):
     # revision 1 is the layout before tau_row was dropped
     old = {**manifest, "format_revision": 1}
     old["tolerances"] = {**manifest["tolerances"], "tau_row": 0.0}
-    # revision 2 wrote N neighbor lists per record in place of classes and runs
-    for raw in (old, {**manifest, "format_revision": 2}, {**manifest, "format_revision": 99}):
+    # revision 2 wrote N neighbor lists per record in place of classes and
+    # runs, and revision 3 runs of classes in place of orders and windows
+    revisions = [{**manifest, "format_revision": r} for r in (2, 3, 99)]
+    for raw in [old] + revisions:
         (out_dir / "manifest.json").write_text(json.dumps(raw))
         capsys.readouterr()
         assert main(["verify", "--run-dir", str(out_dir)]) == 1
@@ -898,6 +922,16 @@ def test_batch_rejects_huge_seed_ranges_at_once(tmp_path, capsys, spec):
     assert not (tmp_path / "b.json").exists()
 
 
+def test_batch_takes_a_negative_seed_range_in_both_spellings(tmp_path):
+    # argparse once read "-3:2" as a flag, while "--seeds=-3:2" parsed
+    argv = ["batch", "--model", "ave", "--epsilon", "0.5", "--agents", "5", "--topics", "2"]
+    assert main(argv + ["--seeds", "-3:2", "--out", str(tmp_path / "a.json")]) == 0
+    assert main(argv + ["--seeds=-3:2", "--out", str(tmp_path / "b.json")]) == 0
+    jobs = read_json(tmp_path / "a.json")["jobs"]
+    assert [job["seed"] for job in jobs] == [-3, -2, -1, 0, 1]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_seed_range_limit_is_inclusive():
     assert _parse_seeds(f"5:{5 + MAX_SEEDS}") == list(range(5, 5 + MAX_SEEDS))
     with pytest.raises(UsageError):
@@ -1020,7 +1054,7 @@ def test_manifest_round_trip():
     assert back.epsilon == Fraction(4, 5)
     assert back.config().model == "uniform"
     assert back.initial_state().entries == manifest.initial_state().entries
-    for revision in (1, 2):
+    for revision in (1, 2, 3):
         with pytest.raises(ValueError, match="revision"):
             RunManifest.from_dict({**raw, "format_revision": revision})
     bad = dict(raw)
@@ -1198,6 +1232,33 @@ def test_verify_names_the_bad_manifest_key(tmp_path, capsys, raw, key):
     assert main(["verify", "--run-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: manifest") and key in err
+
+
+_BOX_INIT = {"kind": "box", "n_agents": 3, "n_topics": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]],
+             "seed": 1, "generator": "python-random-mt19937"}
+_BOX_PAIRS = "error: manifest init 'box' must hold [lo, hi] pairs of numbers"
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (_manifest_dict(epsilon=[4, 4]),
+         "error: manifest 'epsilon': [4, 4] is not a representable number"),
+        (_manifest_dict(init={"kind": "matrix", "entries": [[None], ["1/2"]]}),
+         "error: manifest init 'entries': None is not a representable number"),
+        (_manifest_dict(init={**_BOX_INIT, "box": [[-1.0], [-1.0, 1.0]]}), _BOX_PAIRS),
+        (_manifest_dict(init={**_BOX_INIT, "box": [[-1.0, 1.0, 2.0], [-1.0, 1.0]]}), _BOX_PAIRS),
+    ],
+    ids=["epsilon-list", "entries-none", "box-pair-short", "box-pair-long"],
+)
+def test_manifest_error_lines_name_the_bad_key(tmp_path, capsys, raw, line):
+    # these once read "[4, 4] is not a representable number" or "not
+    # enough values to unpack", with no key named
+    (tmp_path / "manifest.json").write_text(json.dumps(raw))
+    (tmp_path / "trajectory.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_manifest_from_dict_builds_the_policy_once():

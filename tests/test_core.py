@@ -2,6 +2,8 @@ import dataclasses
 import math
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,6 @@ from hkmulti import (
     ave_step,
     contraction_factor,
     disagreement_seminorm,
-    global_range,
     linf_neighbors,
     row_average,
     run,
@@ -28,10 +29,10 @@ from hkmulti import (
 from hkmulti.avemodel import _neighbors_from_averages
 from hkmulti.core import (
     mask_members,
-    mask_runs,
     matrices_close,
     neighbor_means,
     sorted_windows,
+    topic_windows,
 )
 from hkmulti.oracle import (
     RowStochasticMatrix,
@@ -87,7 +88,7 @@ def test_induced_seminorm_rejects_bad_rows():
 
 
 def test_row_normalize_exact_and_float():
-    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
+    phi = InfluenceMatrix((0, 0, 1), (), (((0, 0), (1, 1)),))
     a = row_normalize(phi)
     assert a.entries[0] == (Fraction(1, 2), Fraction(1, 2), 0)
     assert a.entries[2] == (0, 0, 1)
@@ -97,16 +98,16 @@ def test_row_normalize_exact_and_float():
 
 
 def test_contraction_factor_examples():
-    single = InfluenceMatrix((0,), (((0, 0),),))
+    single = InfluenceMatrix((0,), (), (((0, 0),),))
     assert repr(contraction_factor(single, exact=True)) == "0"
     assert repr(contraction_factor(single, exact=False)) == "0"
-    full = InfluenceMatrix((0, 0), (((0, 0),),))
+    full = InfluenceMatrix((0, 0), (), (((0, 0),),))
     assert contraction_factor(full, exact=True) == 0
     assert contraction_factor(full, exact=False) == 0.0
-    block = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
+    block = InfluenceMatrix((0, 0, 1), (), (((0, 0), (1, 1)),))
     assert contraction_factor(block, exact=True) == 1
     # the end agents share only the middle one, with weight 1/2
-    chain = InfluenceMatrix((0, 1, 2), (((0, 1),), ((0, 2),), ((1, 2),)))
+    chain = InfluenceMatrix((0, 1, 2), (), (((0, 1), (0, 2), (1, 2)),))
     assert contraction_factor(chain, exact=True) == Fraction(1, 2)
     assert isinstance(contraction_factor(chain, exact=False), float)
 
@@ -139,11 +140,10 @@ def test_steps_report_state_and_neighbors_only():
         assert type(step(x, 1)) is StepReport
 
 
-def test_topic_and_global_range():
+def test_topic_range():
     x = OpinionMatrix(((0, 5), (2, 5), (1, 9)))
     assert topic_range(x, 0) == 2
     assert topic_range(x, 1) == 4
-    assert global_range(x) == 4
     with pytest.raises(IndexError):
         topic_range(x, 2)
     with pytest.raises(IndexError):
@@ -178,80 +178,160 @@ def test_average_vector_validation():
 
 
 def test_influence_matrix_validation():
+    one = ((0, 0),)
     with pytest.raises(ValueError, match="empty"):
-        InfluenceMatrix((), ())
+        InfluenceMatrix((), (), ())
+    with pytest.raises(ValueError, match="empty"):
+        InfluenceMatrix((0,), (), ())
     with pytest.raises(ValueError, match="own neighbor"):
-        InfluenceMatrix((0, 1), (((1, 1),), ((0, 0),)))
+        InfluenceMatrix((0, 1), (), (((1, 1), (0, 0)),))
     with pytest.raises(ValueError, match="own neighbor"):
-        InfluenceMatrix((0,), ((),))
+        InfluenceMatrix((0, 1), (), (((0, 0), (0, 0)),))
     with pytest.raises(ValueError, match="symmetric"):
-        InfluenceMatrix((0, 1), (((0, 1),), ((1, 1),)))
+        InfluenceMatrix((0, 1), (), (((0, 1), (1, 1)),))
     with pytest.raises(ValueError, match="in range"):
-        InfluenceMatrix((0,), (((0, 1),),))
+        InfluenceMatrix((0,), (), (((0, 1),),))
     with pytest.raises(ValueError, match="in range"):
-        InfluenceMatrix((0, 1), (((-1, 0),), ((0, 1),)))
-    # runs out of order, runs that touch, and a run with lo > hi
-    for runs in (((2, 2), (0, 0)), ((0, 0), (1, 2)), ((0, 0), (2, 1))):
-        with pytest.raises(ValueError, match="sorted, disjoint and maximal"):
-            InfluenceMatrix((0, 1, 2), (runs, ((0, 2),), ((0, 2),)))
+        InfluenceMatrix((0, 1), (), (((-1, 0), (0, 1)),))
+    # reflexive, but the middle window ends before its neighbors' do
+    with pytest.raises(ValueError, match="never decrease"):
+        InfluenceMatrix((0, 1, 2), (), (((0, 2), (0, 1), (0, 2)),))
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) window per class"):
+        InfluenceMatrix((0, 1), ((0, 1),), (((0, 0), (1, 1)), one))
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) window per class"):
+        InfluenceMatrix((0,), (), (((0, 0, 0),),))
+    with pytest.raises(ValueError, match="one window list per order"):
+        InfluenceMatrix((0,), (), (one, one))
+    with pytest.raises(ValueError, match="one window list per order"):
+        InfluenceMatrix((0,), ((0,),), (one,))
+    for order in ((0, 0), (1, 2), (0,)):
+        with pytest.raises(ValueError, match="every class once"):
+            InfluenceMatrix((0, 1), (order,), (((0, 0), (1, 1)),) * 2)
     with pytest.raises(ValueError, match="each with an agent"):
-        InfluenceMatrix((0, 0), (((0, 0),), ((1, 1),)))
+        InfluenceMatrix((0, 0), (), (((0, 0), (1, 1)),))
     with pytest.raises(ValueError, match="each with an agent"):
-        InfluenceMatrix((0, 2), (((0, 0),), ((1, 1),)))
-    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
-    assert phi.n_agents == 3
+        InfluenceMatrix((0, 2), (), (((0, 0), (1, 1)),))
+    phi = InfluenceMatrix((0, 0, 1), (), (((0, 0), (1, 1)),))
+    assert phi.n_agents == 3 and phi.n_classes == 2
     assert phi.entries == ((1, 1, 0), (1, 1, 0), (0, 0, 1))
-    assert phi.class_neighbors == ((0,), (1,))
     assert list(map(mask_members, phi.neighbor_sets())) == [[0, 1], [2]]
-    # runs as a JSON record holds them, in lists, are stored as tuples
-    assert InfluenceMatrix([0, 0, 1], [[[0, 0]], [[1, 1]]]) == phi
-    # two runs: classes 0 and 2 listen to each other, class 1 to itself
-    split = InfluenceMatrix((0, 1, 2, 0), (((0, 0), (2, 2)), ((1, 1),), ((0, 0), (2, 2))))
-    assert split.class_neighbors == ((0, 2), (1,), (0, 2))
+    # windows as a JSON record holds them, in lists, are stored as tuples
+    assert InfluenceMatrix([0, 0, 1], [], [[[0, 0], [1, 1]]]) == phi
+    # every class is close to every other in the first order; the second
+    # order (0, 2, 1) keeps classes 0 and 2 together and class 1 apart
+    split = InfluenceMatrix(
+        (0, 1, 2, 0), ((0, 2, 1),), (((0, 2),) * 3, ((0, 1), (0, 1), (2, 2)))
+    )
     assert list(map(mask_members, split.neighbor_sets())) == [[0, 2, 3], [1], [0, 2, 3]]
-    # one run each, ends in order, and class 1's run reversed
-    with pytest.raises(ValueError, match="sorted, disjoint and maximal"):
-        InfluenceMatrix((0, 1), (((0, 0),), ((2, 0),)))
-    # one run per class, reflexive, but class 1 does not listen back to 0
-    with pytest.raises(ValueError, match="symmetric"):
-        InfluenceMatrix((0, 1, 2), (((0, 2),), ((1, 1),), ((0, 2),)))
+    assert split.window_sets([1, 2, 4]) == [(7, 5), (7, 2), (7, 5)]
+
+
+def _brute_force_valid(n, orders, windows):
+    """Whether the windows describe a reflexive, symmetric relation in each order."""
+    if len(orders) != len(windows) - 1 or any(sorted(o) != list(range(n)) for o in orders):
+        return False
+    for w in windows:
+        if len(w) != n or any(lo < 0 or hi >= n for lo, hi in w):
+            return False
+        close = [[lo <= q <= hi for q in range(n)] for lo, hi in w]
+        if not all(close[p][p] for p in range(n)):
+            return False
+        if any(close[p][q] != close[q][p] for p in range(n) for q in range(n)):
+            return False
+    return True
 
 
 @st.composite
-def class_graphs(draw):
-    # a 0/1 matrix on up to 7 classes, often symmetric, sometimes reflexive
-    n = draw(st.integers(1, 7))
-    links = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
-    if draw(st.booleans()):
-        links = [[links[min(c, d)][max(c, d)] for d in range(n)] for c in range(n)]
-    if draw(st.booleans()):
-        for c in range(n):
-            links[c][c] = True
+def window_lists(draw):
+    # k orders of up to 6 classes: permutations with windows of sorted
+    # values, each sometimes broken by one drawn entry
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    ends = st.integers(-1, n)
+    orders = [list(draw(st.permutations(range(n)))) for _ in range(k - 1)]
+    for order in orders:
+        if draw(st.integers(0, 4)) == 0:
+            order[draw(st.integers(0, n - 1))] = draw(ends)
+    windows = []
+    for _ in range(k):
+        values = sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        w = sorted_windows(values, draw(st.integers(0, 3)))
+        if draw(st.integers(0, 2)) == 0:
+            w[draw(st.integers(0, n - 1))] = (draw(ends), draw(ends))
+        windows.append(w)
     labels = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=5))
-    return labels, links
+    return labels, orders, windows
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_lists())
+# an order that repeats a class, and one with a class out of range
+@example(([0, 1], [[0, 0]], [[(0, 1), (0, 1)], [(0, 0), (1, 1)]]))
+@example(([0, 1], [[0, 2]], [[(0, 1), (0, 1)], [(0, 0), (1, 1)]]))
+# a window that misses its own position
+@example(([0, 1, 2], [], [[(0, 1), (0, 1), (1, 1)]]))
+# decreasing ends: position 1's window ends before position 0's
+@example(([0, 1, 2], [], [[(0, 2), (1, 1), (0, 2)]]))
+# out-of-range ends
+@example(([0, 1], [], [[(-1, 1), (0, 1)]]))
+@example(([0, 1], [], [[(0, 1), (0, 2)]]))
+# reflexive and monotone, but 0 listens to 1 and 1 not to 0
+@example(([0, 1, 2], [], [[(0, 1), (1, 2), (2, 2)]]))
+def test_influence_matrix_accepts_exactly_the_reflexive_symmetric_runs(case):
+    # each window is a run of positions in its order
+    labels, orders, windows = case
+    n = len(windows[0])
+    if not _brute_force_valid(n, orders, windows):
+        with pytest.raises(ValueError):
+            InfluenceMatrix(labels, orders, windows)
+        return
+    phi = InfluenceMatrix(labels, orders, windows)
+    # position[o][c] is where class c sits in order o
+    position = [{c: p for p, c in enumerate(o)} for o in [range(n)] + orders]
+
+    def close(c, d):
+        return all(w[pos[c]][0] <= pos[d] <= w[pos[c]][1] for pos, w in zip(position, windows))
+
+    want = [[d for d in range(n) if close(c, d)] for c in range(n)]
+    classes = phi.window_sets([1 << c for c in range(n)])
+    assert [mask_members(reduce(and_, w)) for w in classes] == want
+
+
+@st.composite
+def tied_states(draw):
+    # entries from a small pool, so rows repeat and topics tie, with both
+    # signed zeros in float mode; tolerance 0 is allowed
+    if draw(st.booleans()):
+        pool = [Fraction(k, 4) for k in range(-4, 5)]
+        tol = draw(st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)]))
+    else:
+        pool = [0.0, -0.0, 0.1, 0.2, 0.25, -0.25, 0.3, 0.5, -1.0, 1.0]
+        tol = draw(st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0]))
+    m = draw(st.integers(1, 3))
+    row = st.tuples(*[st.sampled_from(pool)] * m)
+    return OpinionMatrix(tuple(draw(st.lists(row, min_size=1, max_size=12)))), tol
 
 
 @settings(max_examples=300, deadline=None)
-@given(class_graphs())
-@example((range(3), [[True, True, False], [True, True, True], [False, True, True]]))
-@example((range(3), [[True, False, True], [False, True, False], [True, False, True]]))
-@example((range(3), [[True, True, True], [True, True, False], [False, False, True]]))
-@example((range(3), [[True, True, False], [False, True, True], [False, True, True]]))
-def test_influence_matrix_accepts_exactly_the_reflexive_symmetric_runs(case):
-    labels, links = case
-    n = len(links)
-    runs = [mask_runs(sum(1 << d for d in range(n) if row[d])) for row in links]
-    valid = all(links[c][c] for c in range(n)) and all(
-        links[c][d] == links[d][c] for c in range(n) for d in range(n)
-    )
-    if not valid:
-        with pytest.raises(ValueError):
-            InfluenceMatrix(labels, runs)
-        return
-    phi = InfluenceMatrix(labels, runs)
-    assert phi.class_neighbors == tuple(
-        tuple(d for d in range(n) if row[d]) for row in links
-    )
+@given(tied_states())
+@example((OpinionMatrix(((0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (0.5, 1.0))), 0.0))
+@example((OpinionMatrix(((0.1, 0.2), (0.2, 0.1), (0.3, 0.3), (0.1, 0.2))), 0.1))
+def test_neighbor_sets_equal_the_all_pairs_rules(case):
+    x, tol = case
+    rows, means, n = x.entries, row_average(x).values, x.n_agents
+
+    def all_pairs(close):
+        return [sum(1 << k for k in range(n) if close(i, k)) for i in range(n)]
+
+    uniform = all_pairs(lambda i, k: max(abs(a - b) for a, b in zip(rows[i], rows[k])) <= tol)
+    ave = all_pairs(lambda i, k: abs(means[i] - means[k]) <= tol)
+    matrices = [(InfluenceMatrix(*topic_windows(rows, tol)), uniform)]
+    matrices.append((InfluenceMatrix(*topic_windows(zip(means), tol)), ave))
+    if tol > 0:
+        matrices += [(linf_neighbors(x, tol), uniform), (ave_neighbors(x, tol), ave)]
+    for phi, want in matrices:
+        sets = phi.neighbor_sets()
+        assert [sets[c] for c in phi.labels] == want
 
 
 # the last two are longer than the prebuilt bit numbers of mask_members
@@ -259,9 +339,23 @@ def test_influence_matrix_accepts_exactly_the_reflexive_symmetric_runs(case):
     "mask", [0, 1, 0b110, 0b1011, 0b1110011, (1 << 200) - 1, 5 << 99, (1 << 1100) - 1, 5 << 1500]
 )
 def test_mask_runs_are_the_maximal_runs_of_set_bits(mask):
-    runs = mask_runs(mask)
-    assert [k for lo, hi in runs for k in range(lo, hi + 1)] == mask_members(mask)
-    assert mask_members(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
+    members = mask_members(mask)
+    assert members == [k for k in range(mask.bit_length()) if mask >> k & 1]
+    # one class per bit, whose window is the maximal run of equal bits that
+    # holds it: a partition into runs is reflexive and symmetric
+    n = max(mask.bit_length(), 1)
+    bits = [mask >> k & 1 for k in range(n)]
+    starts = [k for k in range(n) if k == 0 or bits[k] != bits[k - 1]]
+    ends = [s - 1 for s in starts[1:]] + [n - 1]
+    windows = [(lo, hi) for lo, hi in zip(starts, ends) for _ in range(lo, hi + 1)]
+    sets = InfluenceMatrix(range(n), (), (windows,)).neighbor_sets()
+    assert all(s == (1 << hi + 1) - (1 << lo) for s, (lo, hi) in zip(sets, windows))
+    # the set bits' windows tile the mask, and each is a maximal run of it
+    assert reduce(or_, (sets[k] for k in members), 0) == mask
+    for k in members:
+        assert sets[k] & ~mask == 0 and (sets[k] << 1 | sets[k] >> 1) & mask & ~sets[k] == 0
+    runs = sorted({windows[k] for k in members})
+    assert [k for lo, hi in runs for k in range(lo, hi + 1)] == members
     assert all(a[1] + 1 < b[0] for a, b in zip(runs, runs[1:]))
 
 
@@ -345,7 +439,7 @@ def test_policy_coercion_rejects_unrepresentable_numbers(policy, value):
 
 def test_matrix_helpers():
     x = OpinionMatrix(((0, 0), (1, 1), (3, 3)))
-    phi = InfluenceMatrix((0, 0, 1), (((0, 0),), ((1, 1),)))
+    phi = InfluenceMatrix((0, 0, 1), (), (((0, 0), (1, 1)),))
     stepped = neighbor_means(x, phi)
     assert stepped.entries == (
         (Fraction(1, 2), Fraction(1, 2)),
@@ -362,7 +456,7 @@ def test_matrix_helpers():
 
 def test_neighbor_means_rejects_size_mismatch():
     x = OpinionMatrix(((0, 0), (1, 1)))
-    phi = InfluenceMatrix((0,), (((0, 0),),))
+    phi = InfluenceMatrix((0,), (), (((0, 0),),))
     with pytest.raises(ValueError):
         neighbor_means(x, phi)
 
@@ -468,12 +562,13 @@ def test_ave_neighbors_are_windows_over_the_sorted_means(case):
     phi = _neighbors_from_averages(values, epsilon)
     means = sorted(set(values))
     assert [means[c] for c in phi.labels] == list(values)
-    assert all(len(runs) == 1 for runs in phi.runs)
-    ends = [runs[0] for runs in phi.runs]
+    # one order, the classes by mean, whose windows have nondecreasing ends
+    (ends,) = phi.windows
+    assert phi.orders == ()
     assert all(a <= c and b <= d for (a, b), (c, d) in zip(ends, ends[1:]))
-    assert phi.class_neighbors == tuple(
-        tuple(d for d, b in enumerate(means) if abs(a - b) <= epsilon) for a in means
-    )
+    assert [list(range(lo, hi + 1)) for lo, hi in ends] == [
+        [d for d, b in enumerate(means) if abs(a - b) <= epsilon] for a in means
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -484,8 +579,8 @@ def test_sorted_windows_equal_brute_force_with_repeats(case):
     values, epsilon = case
     ordered = sorted(values)
     positions = range(len(ordered))
-    for a, window in zip(ordered, sorted_windows(ordered, epsilon)):
-        assert [q for q in positions if abs(a - ordered[q]) <= epsilon] == list(positions[window])
+    for a, (lo, hi) in zip(ordered, sorted_windows(ordered, epsilon)):
+        assert [q for q in positions if abs(a - ordered[q]) <= epsilon] == list(range(lo, hi + 1))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -499,7 +594,7 @@ def test_contraction_factor_takes_both_paths_on_ave_matrices(exact):
         config = SimulationConfig("ave", policy.coerce(eps), 6, policy)
         for report in run(config, initial).reports:
             phi = report.influence
-            disjoint.add(phi.runs[0][0][1] < phi.runs[-1][0][0])
+            disjoint.add(phi.windows[0][0][1] < phi.windows[0][-1][0])
             dense = induced_disagreement_seminorm(row_normalize(phi, exact))
             assert repr(contraction_factor(phi, exact)) == repr(dense)
     assert disjoint == {True, False}

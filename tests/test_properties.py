@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkmulti import (
-    InfluenceMatrix,
     NumericPolicy,
     OpinionMatrix,
     SimulationConfig,
     StepReport,
     Trajectory,
+    ave_neighbors,
     ave_step,
     check_trajectory,
     classify_run,
@@ -20,6 +20,7 @@ from hkmulti import (
     disagreement_seminorm,
     globally_ordered,
     induced_seminorm_bruteforce,
+    linf_neighbors,
     naive_model_step,
     one_step_preservation_hypothesis,
     row_average,
@@ -29,7 +30,7 @@ from hkmulti import (
     uniform_step,
 )
 from hkmulti import properties
-from hkmulti.core import distinct, mask_members, mask_runs, topic_hulls
+from hkmulti.core import topic_hulls
 from hkmulti.serialize import trajectory_lines
 from hkmulti.oracle import (
     RowStochasticMatrix,
@@ -345,15 +346,6 @@ def test_terminal_classification_steps_the_final_state_itself():
     ]
 
 
-def _drop_pair(phi, i, k):
-    """``phi`` without the symmetric link between agents i and k."""
-    adjacency = [list(row) for row in phi.entries]
-    adjacency[i][k] = adjacency[k][i] = 0
-    rows, labels = distinct(map(tuple, adjacency))
-    links = [{labels[j] for j, linked in enumerate(row) if linked} for row in rows]
-    return InfluenceMatrix(labels, [mask_runs(sum(1 << d for d in ds)) for ds in links])
-
-
 @pytest.mark.parametrize("model", ["ave", "uniform"])
 def test_averaging_check_catches_exact_tampering(model):
     initial = sample_initial(12, 2, (-1, 1), 4, EXACT)
@@ -366,12 +358,13 @@ def test_averaging_check_catches_exact_tampering(model):
     moved = traj.states[:1] + (OpinionMatrix(tuple(map(tuple, rows))),) + traj.states[2:]
     broken = dataclasses.replace(traj, states=moved)
     assert check_trajectory(broken, ["averaging-matrix"])[0] == message
-    # agent 1 and one of its neighbors drop their link in the first
-    # step's influence, and the next state stays the same
+    # the first step's influence is the rule's at a quarter of epsilon,
+    # which drops some links, and the next state stays the same
     report = traj.reports[0]
-    phi = report.influence
-    other = next(k for k in mask_members(phi.neighbor_sets()[phi.labels[0]]) if k != 0)
-    dropped = dataclasses.replace(report, influence=_drop_pair(report.influence, 0, other))
+    rule = ave_neighbors if model == "ave" else linf_neighbors
+    narrowed = rule(traj.states[0], Fraction(3, 20))
+    assert narrowed.neighbor_sets() != report.influence.neighbor_sets()
+    dropped = dataclasses.replace(report, influence=narrowed)
     broken = dataclasses.replace(traj, reports=(dropped,) + traj.reports[1:])
     assert check_trajectory(broken, ["averaging-matrix"])[0] == message
 

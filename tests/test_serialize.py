@@ -76,12 +76,13 @@ def test_trajectory_jsonl_exact_round_trip(tmp_path):
     for t, record in enumerate(records):
         assert record.step == t
         assert record.state.entries == traj.states[t].entries
-    # step records carry the neighbor classes and runs and the diagnostics;
-    # the final record carries none.  The means 0, 1 and 3 are classes 0, 1
-    # and 2, and epsilon 1 joins the first two
+    # step records carry the neighbor classes and windows and the
+    # diagnostics; the final record carries none.  The means 0, 1 and 3 are
+    # classes 0, 1 and 2 in their one order, and epsilon 1 joins the first two
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0]["classes"] == [0, 1, 2]
-    assert lines[0]["runs"] == [[[0, 1]], [[0, 1]], [[2, 2]]]
+    assert lines[0]["orders"] == []
+    assert lines[0]["windows"] == [[[0, 1], [0, 1], [2, 2]]]
     assert lines[0]["gamma"] == str(contraction_factor(traj.reports[0].influence, exact=True))
     assert lines[0]["topic_ranges"] == ["3", "3"]
     assert lines[-1].keys() == {"step", "state"}
@@ -105,6 +106,7 @@ def test_trajectory_reader_names_a_bad_record(tmp_path, second, message):
 
 
 def test_uniform_trajectory_records_classes_and_runs():
+    # each window is a run of positions in its topic's order
     config = SimulationConfig("uniform", 1.0, 20, FLOAT)
     traj = run(config, OpinionMatrix(((2.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.0, 1.0))))
     first = json.loads(trajectory_lines(traj)[0])
@@ -112,8 +114,18 @@ def test_uniform_trajectory_records_classes_and_runs():
     assert len(first["classes"]) == 4
     classes = first["classes"]
     assert classes[1] == classes[3] != classes[2] != classes[0]
+    # topic 0's order is the class numbers; on topic 1 classes 0, 1 and 2
+    # hold 1, 0.5 and 0, so its order runs from class 2 to class 0
+    assert first["orders"] == [[2, 1, 0]]
+    orders = [[0, 1, 2]] + first["orders"]
+
+    def window(order, windows, c):
+        lo, hi = windows[order.index(c)]
+        return set(order[lo : hi + 1])
+
     neighbors = [
-        sorted(k for lo, hi in first["runs"][c] for k in range(lo, hi + 1)) for c in classes
+        sorted(set.intersection(*map(window, orders, first["windows"], [c] * 2)))
+        for c in classes
     ]
     assert neighbors[0] == [classes[0]]
     assert neighbors[1] == neighbors[2] == sorted({classes[1], classes[2]})

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from hkmulti import (
     OpinionMatrix,
     StepReport,
-    global_range,
     globally_ordered,
     linf_neighbors,
     one_step_preservation_hypothesis,
+    topic_range,
     uniform_step,
 )
 from hkmulti.oracle import row_normalize
@@ -122,8 +122,8 @@ def test_uniform_step_example():
     report = uniform_step(x, 1)
     assert report.next_state.entries == ((0.25, 0.75), (0.25, 0.75), (2.0, 0.0))
     assert isinstance(report, StepReport)
-    assert global_range(x) == 2.0
-    assert global_range(report.next_state) == 1.75
+    assert max(topic_range(x, j) for j in range(x.n_topics)) == 2.0
+    assert max(topic_range(report.next_state, j) for j in range(x.n_topics)) == 1.75
     orderings = tuple(
         tuple(sorted(range(x.n_agents), key=lambda i: (x.entries[i][j], i)))
         for j in range(x.n_topics)
